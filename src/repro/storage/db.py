@@ -569,10 +569,9 @@ class Database:
         instead of being maintained per row.  Deletes flush their
         table's pending run first, preserving per-table order.
 
-        Returns a :class:`~repro.storage.wal.RecoveryReport` (which
-        compares equal to the replayed-transaction count, the old return
-        type).  Tables must already exist (schema is metadata, not
-        logged — as in most real systems).
+        Returns a :class:`~repro.storage.wal.RecoveryReport`.  Tables
+        must already exist (schema is metadata, not logged — as in most
+        real systems).
         """
         if self._wal is None:
             raise TransactionError("this database has no WAL to recover from")
@@ -582,10 +581,9 @@ class Database:
         pending: Dict[int, List[WalRecord]] = {}
         committed: List[Tuple[int, List[WalRecord]]] = []
         for record in self._wal.scan(mode=mode, stats=stats):
-            if record.lsn is not None and record.lsn <= watermark:
+            if record.lsn <= watermark:
                 report.records_skipped += 1
-                continue
-            if record.kind == KIND_BEGIN:
+            elif record.kind == KIND_BEGIN:
                 pending[record.txn_id] = []
             elif record.kind in (KIND_INSERT, KIND_DELETE):
                 pending.setdefault(record.txn_id, []).append(record)
@@ -594,9 +592,7 @@ class Database:
             elif record.kind == KIND_ABORT:
                 pending.pop(record.txn_id, None)
                 report.txns_aborted += 1
-            elif record.kind == KIND_CHECKPOINT:
-                continue
-            else:  # pragma: no cover - defensive
+            elif record.kind != KIND_CHECKPOINT:  # pragma: no cover - defensive
                 raise WALError(f"unknown WAL record kind {record.kind}")
         report.txns_replayed = len(committed)
         report.txns_dropped = len(pending)

@@ -1139,10 +1139,10 @@ def _choose_access_path(
 # aliases (so env merging cannot raise for one order and not another),
 # and non-equi ON residuals must be shapes whose evaluation cannot
 # raise (so deferring them to a different intermediate cannot hide an
-# error).  Queries that fail the checks keep the written join order —
+# error).  Queries that fail the checks keep the written join order,
 # with physical-operator selection still active where it is provably
-# equivalent — and anything murkier falls all the way back to the
-# legacy hash-join pipeline.
+# equivalent.  ``_plan_joins`` has no other tier; the naive left-deep
+# plan (``naive=True``) is the oracle both paths are tested against.
 
 
 @dataclass

@@ -6,7 +6,7 @@ snapshot and truncates the WAL, bounding recovery time.  Together with
 REDO recovery this completes the durability story: state = latest
 snapshot + committed WAL suffix.
 
-File format (v2, checksummed)::
+File format (v2, checksummed — the only version written or read)::
 
     header   := magic "RPRO" u16 version u8 checksum_alg
                 u64 wal_watermark u32 table_count
@@ -18,7 +18,7 @@ File format (v2, checksummed)::
 Schemas travel as JSON (they are metadata, not data) — column names,
 types, nullability, defaults, primary key, and index declarations.
 
-Durability hardening (v2):
+Durability hardening:
 
 * the temp file is flushed and fsynced *before* the atomic rename, and
   the containing directory is fsynced after it, so a crash at any
@@ -31,8 +31,7 @@ Durability hardening (v2):
   corruption surfaces as a raw ``struct.error``/``IndexError``;
 * ``wal_watermark`` records the WAL LSN the snapshot contains state up
   to, so recovery can skip WAL records the snapshot already holds —
-  which is what makes a crash *during* checkpoint truncation safe;
-* v1 snapshots (no checksum, no watermark) still load, version-sniffed.
+  which is what makes a crash *during* checkpoint truncation safe.
 
 Crash points (see :class:`~repro.common.faults.FaultPlan`):
 ``snapshot.before_temp_write``, ``snapshot.mid_temp_write`` (before
@@ -235,52 +234,46 @@ def load_snapshot(
     """Rebuild a database from a snapshot file.
 
     Every truncation or corruption raises ``StorageError`` naming the
-    offending offset; v2 files are checksum-verified before any
-    parsing.  ``wal_dir`` re-attaches a write-ahead log (for a
-    subsequent ``Database.recover()`` of the post-snapshot suffix); the
-    snapshot's WAL watermark is carried onto the returned database so
-    recovery skips records the snapshot already contains.
+    offending offset; the file is checksum-verified before any parsing,
+    and any version other than v2 is refused.  ``wal_dir`` re-attaches
+    a write-ahead log (for a subsequent ``Database.recover()`` of the
+    post-snapshot suffix); the snapshot's WAL watermark is carried onto
+    the returned database so recovery skips records the snapshot
+    already contains.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     if len(data) < 6 or data[:4] != _MAGIC:
         raise StorageError(f"{path!r} is not a snapshot file")
     (version,) = struct.unpack_from("<H", data, 4)
-    watermark = 0
-    if version == 1:
-        reader = _Reader(data, path)
-        reader.take(6, "v1 header")
-        table_count = reader.u32("v1 table count")
-        body_end = len(data)
-    elif version == _VERSION:
-        if len(data) < 4 + _HEADER_V2.size + _FOOTER_SIZE:
-            raise StorageError(
-                f"truncated snapshot {path!r}: {len(data)} byte(s) is too "
-                f"short for a v{_VERSION} header and footer"
-            )
-        if data[-_FOOTER_SIZE:-4] != _FOOTER_MAGIC:
-            raise StorageError(
-                f"corrupt snapshot {path!r}: footer magic missing at offset "
-                f"{len(data) - _FOOTER_SIZE} (file truncated or overwritten)"
-            )
-        (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-        _version, alg, watermark, table_count = _HEADER_V2.unpack_from(data, 4)
-        if alg not in ALG_NAMES:
-            raise StorageError(
-                f"corrupt snapshot {path!r}: unknown checksum algorithm id "
-                f"{alg} at offset 6"
-            )
-        actual_crc = checksum(alg, data[: -_FOOTER_SIZE])
-        if actual_crc != stored_crc:
-            raise StorageError(
-                f"corrupt snapshot {path!r}: {ALG_NAMES[alg]} mismatch "
-                f"(stored {stored_crc:#010x}, computed {actual_crc:#010x})"
-            )
-        reader = _Reader(data, path)
-        reader.take(4 + _HEADER_V2.size, "v2 header")
-        body_end = len(data) - _FOOTER_SIZE
-    else:
+    if version != _VERSION:
         raise StorageError(f"unsupported snapshot version {version}")
+    if len(data) < 4 + _HEADER_V2.size + _FOOTER_SIZE:
+        raise StorageError(
+            f"truncated snapshot {path!r}: {len(data)} byte(s) is too "
+            f"short for a v{_VERSION} header and footer"
+        )
+    if data[-_FOOTER_SIZE:-4] != _FOOTER_MAGIC:
+        raise StorageError(
+            f"corrupt snapshot {path!r}: footer magic missing at offset "
+            f"{len(data) - _FOOTER_SIZE} (file truncated or overwritten)"
+        )
+    (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
+    _version, alg, watermark, table_count = _HEADER_V2.unpack_from(data, 4)
+    if alg not in ALG_NAMES:
+        raise StorageError(
+            f"corrupt snapshot {path!r}: unknown checksum algorithm id "
+            f"{alg} at offset 6"
+        )
+    actual_crc = checksum(alg, data[: -_FOOTER_SIZE])
+    if actual_crc != stored_crc:
+        raise StorageError(
+            f"corrupt snapshot {path!r}: {ALG_NAMES[alg]} mismatch "
+            f"(stored {stored_crc:#010x}, computed {actual_crc:#010x})"
+        )
+    reader = _Reader(data, path)
+    reader.take(4 + _HEADER_V2.size, "v2 header")
+    body_end = len(data) - _FOOTER_SIZE
 
     db = Database(name, wal_dir=wal_dir)
     db._wal_watermark = watermark

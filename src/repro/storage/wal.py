@@ -28,9 +28,11 @@ including across :meth:`WriteAheadLog.truncate`, so a snapshot can
 record an LSN watermark and recovery can skip records the snapshot
 already contains.  Segments rotate at :data:`DEFAULT_SEGMENT_BYTES`.
 
-A bare ``<base>`` file in the v1 format (length-prefixed payloads, no
-header, no checksums) is still readable: the scanner version-sniffs it
-and assigns implicit LSNs, so pre-v2 logs recover unchanged.
+This is the only on-disk format, and one scanner reads it: recovery
+(:meth:`WriteAheadLog.scan`) and the appender's tail check before the
+first append (:func:`_segment_tail`) both walk segments with
+:func:`_read_segment_header` and :func:`_scan_v2_records`, so the two
+can never disagree about where the verifiable log ends.
 
 Recovery scans in one of two modes:
 
@@ -45,8 +47,10 @@ Recovery scans in one of two modes:
   from it on (including later segments) is counted as quarantined
   bytes in the :class:`RecoveryReport` rather than raised.
 
-Recovery replays committed transactions in order; what it did and what
-it dropped is returned as a structured :class:`RecoveryReport`.
+:meth:`~repro.storage.db.Database.recover` groups the scanned records
+into committed transactions and replays them in commit order; what it
+did and what it dropped is returned as a structured
+:class:`RecoveryReport`.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ __all__ = [
     "WriteAheadLog",
     "ScanStats",
     "RecoveryReport",
-    "replay_committed",
     "coalesce_replay",
 ]
 
@@ -168,9 +171,8 @@ class ScanStats:
 class WriteAheadLog:
     """An append-only, checksummed, segmented log.
 
-    ``path`` is the *base* path: v2 segments live at
-    ``<path>.000001``..., while a bare ``<path>`` file is read as a
-    legacy v1 log (and never appended to).  The append handle is opened
+    ``path`` is the *base* path: segments live at ``<path>.000001``,
+    ``<path>.000002``, ...  The append handle is opened
     lazily and kept open; ``crash()`` abandons it without any
     bookkeeping, and tests then reopen the log and run recovery.
 
@@ -217,27 +219,19 @@ class WriteAheadLog:
                 segments.append(os.path.join(directory, name))
         return sorted(segments)
 
-    def _v1_record_count(self) -> int:
-        count = 0
-        for _record in _scan_v1(self.path, self._schemas, "tolerant", ScanStats(), True):
-            count += 1
-        return count
-
-    def _last_lsn_on_disk(self) -> int:
-        """The highest LSN currently persisted (0 for an empty log)."""
-        for segment in reversed(self.segment_paths()):
-            _end, lsn, _state = _verified_end(segment, self._schemas)
+    def _last_lsn_on_disk(self, segments: List[str]) -> int:
+        """The highest LSN persisted in ``segments`` (0 if none)."""
+        for segment in reversed(segments):
+            _end, lsn, _state = _segment_tail(segment, self._schemas)
             if lsn is not None:
                 return lsn
             # header unreadable: fall back to the previous segment
-        if os.path.exists(self.path):
-            return self._v1_record_count()
         return 0
 
     def last_lsn(self) -> int:
         """The LSN of the most recent append (persisted or buffered)."""
         if self._next_lsn is None:
-            self._next_lsn = self._last_lsn_on_disk() + 1
+            self._next_lsn = self._last_lsn_on_disk(self.segment_paths()) + 1
         return self._next_lsn - 1
 
     def _open_segment(self, seq: int, base_lsn: int) -> None:
@@ -254,13 +248,12 @@ class WriteAheadLog:
 
     def _handle(self) -> BinaryIO:
         if self._file is None:
-            if self._next_lsn is None:
-                self._next_lsn = self._last_lsn_on_disk() + 1
             segments = self.segment_paths()
+            seq, lsn = 1, None
             if segments:
                 last = segments[-1]
                 seq = int(last.rsplit(".", 1)[1])
-                end, _lsn, state = _verified_end(last, self._schemas)
+                end, lsn, state = _segment_tail(last, self._schemas)
                 if state == "corrupt":
                     # Appending after a checksum-failed record would
                     # bury possibly-committed bytes behind new ones;
@@ -278,8 +271,10 @@ class WriteAheadLog:
                     # un-committed partial record before appending
                     with open(last, "r+b") as handle:
                         handle.truncate(end)
-            else:
-                seq = 1
+            if self._next_lsn is None:
+                if lsn is None:  # no segment, or a torn header
+                    lsn = self._last_lsn_on_disk(segments[:-1])
+                self._next_lsn = lsn + 1
             self._open_segment(seq, self._next_lsn)
         return self._file
 
@@ -327,13 +322,6 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Scanning
     # ------------------------------------------------------------------
-    def records(self) -> Iterator[WalRecord]:
-        """All verifiable records, tolerantly (stop at the first bad
-        one), *without* disturbing the live append handle — reads go
-        through independent handles, so appending, reading, and
-        appending again in one session works."""
-        return self.scan(mode="tolerant")
-
     def scan(
         self, mode: str = "strict", stats: Optional[ScanStats] = None
     ) -> Iterator[WalRecord]:
@@ -344,6 +332,9 @@ class WriteAheadLog:
         and reports it in ``stats``.  A torn tail (truncated final
         record of the final segment) ends the scan cleanly in both
         modes.  ``stats`` is filled in as the scan advances.
+
+        Reads go through independent handles, so appending, scanning,
+        and appending again in one session works.
         """
         if mode not in ("strict", "tolerant"):
             raise ValueError(f"unknown scan mode {mode!r}")
@@ -357,16 +348,6 @@ class WriteAheadLog:
 
     def _scan(self, mode: str, stats: ScanStats) -> Iterator[WalRecord]:
         segments = self.segment_paths()
-        if os.path.exists(self.path):
-            # legacy v1 file: no checksums, implicit LSNs, torn tails
-            # tolerated mid-chain (its own format's contract)
-            stats.segments_scanned += 1
-            yield from _scan_v1(
-                self.path, self._schemas, mode, stats, not segments
-            )
-            if stats.corruption is not None:
-                _quarantine_rest(stats, segments)
-                return
         expected_lsn: Optional[int] = None
         for position, segment in enumerate(segments):
             final = position == len(segments) - 1
@@ -411,10 +392,7 @@ class WriteAheadLog:
         next_lsn = self.last_lsn() + 1
         self.close()
         self._faults.reached("wal.truncate.begin")
-        doomed = []
-        if os.path.exists(self.path):
-            doomed.append(self.path)
-        doomed.extend(self.segment_paths())
+        doomed = self.segment_paths()
         for index, path in enumerate(doomed):
             os.remove(path)
             if index < len(doomed) - 1:
@@ -427,47 +405,33 @@ class WriteAheadLog:
 # Scanner internals
 # ----------------------------------------------------------------------
 
-def _verified_end(
+def _segment_tail(
     path: str, schemas: Dict[str, TableSchema]
 ) -> Tuple[int, Optional[int], str]:
-    """Where a segment's verifiable content ends.
+    """Where a segment's verifiable content ends, for the appender.
 
-    Returns ``(end_offset, last_lsn, state)`` where ``state`` is
-    ``"clean"`` (every byte verifies), ``"torn"`` (the tail is an
-    incomplete record or incomplete header — the expected shape of a
-    crash mid-append), or ``"corrupt"`` (a *complete* record or header
-    failed verification: checksum, LSN, decode, or magic).  ``last_lsn``
-    is ``None`` when the header itself was unreadable.
+    A tolerant scan of the one segment.  Returns ``(end_offset,
+    last_lsn, state)`` where ``state`` is ``"clean"`` (every byte
+    verifies), ``"torn"`` (the tail is an incomplete record or
+    incomplete header — the expected shape of a crash mid-append), or
+    ``"corrupt"`` (a *complete* record or header failed verification:
+    checksum, LSN, decode, or magic).  ``last_lsn`` is ``None`` when the
+    header itself was unreadable.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) < _SEGMENT_HEADER.size:
-        return 0, None, "torn"
-    magic, version, alg, _reserved, base_lsn = _SEGMENT_HEADER.unpack_from(data, 0)
-    if magic != _SEGMENT_MAGIC or version != _SEGMENT_VERSION or alg not in ALG_NAMES:
-        return 0, None, "corrupt"
-    header = _RECORD_HEADER
-    body = data[_SEGMENT_HEADER.size :]
-    offset = 0
+    stats = ScanStats()
+    base_lsn, alg, data = _read_segment_header(path, "tolerant", stats)
+    if data is None:
+        return 0, None, "corrupt" if stats.corruption else "torn"
     lsn = base_lsn - 1
-    while offset < len(body):
-        if len(body) - offset < header.size:
-            return _SEGMENT_HEADER.size + offset, lsn, "torn"
-        length, crc, record_lsn = header.unpack_from(body, offset)
-        end = offset + header.size + length
-        if end > len(body):
-            return _SEGMENT_HEADER.size + offset, lsn, "torn"
-        payload = body[offset + header.size : end]
-        expected = checksum(alg, payload, checksum(alg, body[offset + 8 : offset + 16]))
-        if crc != expected or record_lsn != lsn + 1:
-            return _SEGMENT_HEADER.size + offset, lsn, "corrupt"
-        try:
-            _decode_payload(payload, schemas, lsn=record_lsn)
-        except Exception:
-            return _SEGMENT_HEADER.size + offset, lsn, "corrupt"
-        lsn = record_lsn
-        offset = end
-    return _SEGMENT_HEADER.size + offset, lsn, "clean"
+    for record in _scan_v2_records(
+        path, data, base_lsn, alg, schemas, "tolerant", stats, True
+    ):
+        lsn = record.lsn
+    end = _SEGMENT_HEADER.size + len(data) - stats.bytes_quarantined
+    if stats.corruption is not None:
+        return end, lsn, "corrupt"
+    return end, lsn, "torn" if stats.torn_tail_bytes else "clean"
+
 
 def _quarantine_rest(stats: ScanStats, later_segments: List[str]) -> None:
     for segment in later_segments:
@@ -603,58 +567,13 @@ def _scan_v2_records(
         offset = end
 
 
-def _scan_v1(
-    path: str,
-    schemas: Dict[str, TableSchema],
-    mode: str,
-    stats: ScanStats,
-    final: bool,
-) -> Iterator[WalRecord]:
-    """The v1 format: length-prefixed payloads, no checksums.  Implicit
-    LSNs count from 1.  A malformed tail ends this file's scan in both
-    modes — v1 never promised more (and the seed's recovery tests rely
-    on exactly that tolerance)."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    offset = 0
-    lsn = 0
-    while offset + 4 <= len(data):
-        (length,) = struct.unpack_from("<I", data, offset)
-        if offset + 4 + length > len(data):
-            _torn_tail(stats, len(data) - offset)
-            return
-        payload = data[offset + 4 : offset + 4 + length]
-        try:
-            record = _decode_payload(payload, schemas, lsn=lsn + 1)
-        except Exception as exc:
-            if final:
-                _bad_record(
-                    mode, stats, path, offset, lsn + 1,
-                    f"undecodable v1 record ({exc})", len(data) - offset,
-                )
-            else:
-                _torn_tail(stats, len(data) - offset)
-            return
-        lsn += 1
-        stats.records_scanned += 1
-        yield record
-        offset += 4 + length
-    if offset < len(data):
-        _torn_tail(stats, len(data) - offset)
-
-
 # ----------------------------------------------------------------------
 # Recovery reporting
 # ----------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass
 class RecoveryReport:
-    """What :meth:`Database.recover` did, structurally.
-
-    Compares equal to an ``int`` as its transaction-replay count (the
-    pre-v2 return type of ``recover()``), so existing callers written
-    against ``db.recover() == n`` keep working.
-    """
+    """What :meth:`Database.recover` did, structurally."""
 
     mode: str = "strict"
     segments_scanned: int = 0
@@ -671,19 +590,6 @@ class RecoveryReport:
     torn_tail_bytes: int = 0
     bytes_quarantined: int = 0
     corruption: Optional[str] = None
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, int):
-            return self.txns_replayed == other
-        if isinstance(other, RecoveryReport):
-            return all(
-                getattr(self, f.name) == getattr(other, f.name)
-                for f in fields(self)
-            )
-        return NotImplemented
-
-    def __int__(self) -> int:
-        return self.txns_replayed
 
     def as_dict(self) -> Dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -730,30 +636,7 @@ def coalesce_replay(
             if rows:
                 yield "bulk_insert", record.table, rows
             yield "delete", record.table, record.row
-        else:  # pragma: no cover - replay_committed only yields DML
+        else:  # pragma: no cover - recovery only passes DML records
             raise WALError(f"unexpected {record.kind_name} record in replay")
     for table, rows in pending.items():
         yield "bulk_insert", table, rows
-
-
-def replay_committed(
-    log: WriteAheadLog,
-    mode: str = "tolerant",
-    stats: Optional[ScanStats] = None,
-) -> Iterator[Tuple[int, List[WalRecord]]]:
-    """Group log records by transaction and yield only committed ones,
-    in commit order.  Uncommitted and aborted transactions are skipped."""
-    pending: Dict[int, List[WalRecord]] = {}
-    for record in log.scan(mode=mode, stats=stats):
-        if record.kind == KIND_BEGIN:
-            pending[record.txn_id] = []
-        elif record.kind in (KIND_INSERT, KIND_DELETE):
-            pending.setdefault(record.txn_id, []).append(record)
-        elif record.kind == KIND_COMMIT:
-            yield record.txn_id, pending.pop(record.txn_id, [])
-        elif record.kind == KIND_ABORT:
-            pending.pop(record.txn_id, None)
-        elif record.kind == KIND_CHECKPOINT:
-            continue
-        else:  # pragma: no cover - defensive
-            raise WALError(f"unknown WAL record kind {record.kind}")

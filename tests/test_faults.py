@@ -43,15 +43,7 @@ from repro.storage import (
     WALError,
 )
 from repro.storage.snapshot import checkpoint, load_snapshot, save_snapshot
-from repro.storage.wal import (
-    KIND_BEGIN,
-    KIND_COMMIT,
-    KIND_INSERT,
-    ScanStats,
-    WalRecord,
-    WriteAheadLog,
-    _encode_payload,
-)
+from repro.storage.wal import KIND_BEGIN, WalRecord, WriteAheadLog
 
 _PROFILES = {
     "default": {"max_examples": 60, "deadline": None},
@@ -268,59 +260,6 @@ class TestWALCorruptionMatrix:
         assert log.append(WalRecord(KIND_BEGIN, 2)) == 4  # never reset
 
 
-class TestV1Compat:
-    def _write_v1(self, path, records, schemas):
-        with open(path, "wb") as handle:
-            for record in records:
-                payload = _encode_payload(record, schemas)
-                handle.write(struct.pack("<I", len(payload)) + payload)
-
-    def test_v1_file_scans_with_implicit_lsns(self, tmp_path):
-        schemas = {"t": schema()}
-        path = str(tmp_path / "w.wal")
-        self._write_v1(
-            path,
-            [
-                WalRecord(KIND_BEGIN, 1),
-                WalRecord(KIND_INSERT, 1, "t", (1, "a")),
-                WalRecord(KIND_COMMIT, 1),
-            ],
-            schemas,
-        )
-        log = WriteAheadLog(path, schemas)
-        records = list(log.scan(mode="strict"))
-        assert [r.lsn for r in records] == [1, 2, 3]
-        assert records[1].row == (1, "a")
-
-    def test_v2_appends_continue_after_a_v1_file(self, tmp_path):
-        schemas = {"t": schema()}
-        path = str(tmp_path / "w.wal")
-        self._write_v1(path, [WalRecord(KIND_BEGIN, 1), WalRecord(KIND_COMMIT, 1)], schemas)
-        log = WriteAheadLog(path, schemas)
-        assert log.append(WalRecord(KIND_BEGIN, 2)) == 3
-        log.flush()
-        stats = ScanStats()
-        lsns = [r.lsn for r in log.scan(mode="strict", stats=stats)]
-        assert lsns == [1, 2, 3]
-        assert stats.segments_scanned == 2  # the v1 file + one v2 segment
-
-    def test_v1_recovery_through_database(self, tmp_path):
-        schemas = {"t": schema()}
-        self._write_v1(
-            str(tmp_path / "w.wal"),
-            [
-                WalRecord(KIND_BEGIN, 1),
-                WalRecord(KIND_INSERT, 1, "t", (7, "legacy")),
-                WalRecord(KIND_COMMIT, 1),
-            ],
-            schemas,
-        )
-        db = Database("w", wal_dir=str(tmp_path))
-        db.create_table(schema())
-        assert db.recover() == 1
-        assert db.table("t").lookup_pk((7,)) is not None
-
-
 class TestRecoveryReport:
     def test_deterministic_report_snapshot(self, tmp_path):
         db = Database("w", wal_dir=str(tmp_path))
@@ -351,9 +290,6 @@ class TestRecoveryReport:
             "bytes_quarantined": 0,
             "corruption": None,
         }
-        # int back-compat: the old `recover() == n` contract still holds
-        assert report == 2
-        assert int(report) == 2
         assert "2 txn(s) replayed" in report.summary()
 
 
@@ -390,6 +326,13 @@ class TestSnapshotFaults:
                 handle.write(bytes(corrupted))
             with pytest.raises(StorageError):
                 load_snapshot(path)
+
+    def test_v1_snapshot_is_refused(self, tmp_path):
+        path = str(tmp_path / "old.snap")
+        with open(path, "wb") as handle:
+            handle.write(b"RPRO" + struct.pack("<HI", 1, 0))  # v1 header, no tables
+        with pytest.raises(StorageError, match="unsupported snapshot version 1"):
+            load_snapshot(path)
 
     def test_clean_roundtrip(self, tmp_path):
         path, _data = _small_snapshot(tmp_path)
@@ -670,5 +613,27 @@ class TestFaultMatrixProperty:
             rows = tuple(sorted(row for _r, row in db.table("t").scan()))
             assert rows in states, (fault, mode, report.as_dict())
             assert report.txns_replayed == len(rows)
+            if mode == "tolerant":
+                self._check_append_after_recovery(db, case, rows, report)
         finally:
             shutil.rmtree(case, ignore_errors=True)
+
+    @staticmethod
+    def _check_append_after_recovery(db, case, rows, report):
+        """The appender's tail check must agree with the recovery scan:
+        it refuses exactly the logs recovery found corrupt, and
+        otherwise continues the log so a strict recovery returns the
+        recovered rows plus the appended one."""
+        new_row = (100, "appended")
+        try:
+            db.insert("t", new_row)
+        except WALCorruptionError:
+            assert report.corruption is not None, report.as_dict()
+            return
+        assert report.corruption is None, report.as_dict()
+        db.crash()
+        reopened = Database("w", wal_dir=case)
+        reopened.create_table(schema())
+        reopened.recover(mode="strict")
+        after = tuple(sorted(row for _r, row in reopened.table("t").scan()))
+        assert after == rows + (new_row,), report.as_dict()

@@ -26,7 +26,6 @@ from repro.storage.wal import (
     WalRecord,
     WriteAheadLog,
     coalesce_replay,
-    replay_committed,
 )
 
 
@@ -99,7 +98,7 @@ class TestWAL:
         log.append(WalRecord(KIND_INSERT, 5, "prov", (1, "C", "T/a", "S/a")))
         log.append(WalRecord(KIND_COMMIT, 5))
         log.close()
-        records = list(log.records())
+        records = list(log.scan(mode="tolerant"))
         assert len(records) == 2
         assert records[0].row == (1, "C", "T/a", "S/a")
         assert records[1].kind_name == "COMMIT"
@@ -110,9 +109,10 @@ class TestWAL:
         log = WriteAheadLog(path, schemas)
         log.append(WalRecord(KIND_INSERT, 1, "prov", (1, "I", "T/a", None)))
         log.close()
-        with open(path, "ab") as handle:
+        [segment] = log.segment_paths()
+        with open(segment, "ab") as handle:
             handle.write(b"\x40\x00\x00\x00partial")  # truncated record
-        assert len(list(log.records())) == 1
+        assert len(list(log.scan(mode="tolerant"))) == 1
 
     def test_replay_skips_uncommitted(self, tmp_path):
         db = Database("t", wal_dir=str(tmp_path))
@@ -122,8 +122,11 @@ class TestWAL:
         db.commit()
         db.begin()
         db.insert("prov", (2, "I", "T/b", None))  # never committed
-        committed = list(replay_committed(db._wal))
-        assert len(committed) == 1
+        db.crash()
+        report = db.recover()
+        assert report.txns_replayed == 1
+        assert report.txns_dropped == 1
+        assert db.table("prov").row_count == 1
 
 
 class TestCrashRecovery:
@@ -139,8 +142,7 @@ class TestCrashRecovery:
         db.crash()
 
         assert db.table("prov").row_count == 0  # memory gone
-        replayed = db.recover()
-        assert replayed == 1
+        assert db.recover().txns_replayed == 1
         assert db.table("prov").row_count == 2
         assert db.table("prov").lookup_pk((1, "T/a")) is not None
 
@@ -185,10 +187,10 @@ class TestCrashRecovery:
         db.begin()
         db.insert("prov", (1, "C", "T/a", "S1/a"))
         db.commit()
-        kinds = {record.kind_name for record in db._wal.records()}
+        kinds = {record.kind_name for record in db._wal.scan(mode="tolerant")}
         assert kinds == {"BEGIN", "INSERT", "COMMIT"}
         # WAL rows are opaque tuples tied to tables; no update semantics
-        for record in db._wal.records():
+        for record in db._wal.scan(mode="tolerant"):
             assert not hasattr(record, "copy_source")
 
 
@@ -263,7 +265,7 @@ class TestCoalescedReplay:
             row for _rid, row in db.table("ev").range_scan("ev_k", (10,), (20,))
         ]
         db.crash()
-        assert db.recover() == 2
+        assert db.recover().txns_replayed == 2
         table = db.table("ev")
         # row ids restart after a crash (heap state is not logged), so
         # compare the streamed rows, which must match exactly
@@ -356,7 +358,7 @@ class TestCrashPointMatrix:
             handle.write(data[:cut])
         db = Database("m", wal_dir=str(target))
         db.create_table(schema())
-        replayed = db.recover()
+        replayed = db.recover().txns_replayed
         return replayed, sorted(row for _rid, row in db.table("prov").scan())
 
     def test_every_truncation_point_recovers_a_committed_prefix(self, tmp_path):
@@ -396,7 +398,7 @@ class TestCrashPointMatrix:
 
 
 class TestLiveReadThenAppend:
-    """Regression: ``records()`` used to ``close()`` the log to force a
+    """Regression: reading the log used to ``close()`` it to force a
     flush, silently killing the live append handle — the next append
     reopened the file and could race the reader.  Reads now go through
     independent handles."""
@@ -405,16 +407,16 @@ class TestLiveReadThenAppend:
         db = Database("w", wal_dir=str(tmp_path))
         db.create_table(schema())
         db.insert("prov", (1, "I", "T/a", None))
-        first = list(db._wal.records())
+        first = list(db._wal.scan(mode="tolerant"))
         assert len(first) == 3  # BEGIN, INSERT, COMMIT
         # the append handle must still be alive and writable
         db.insert("prov", (2, "I", "T/b", None))
-        second = list(db._wal.records())
+        second = list(db._wal.scan(mode="tolerant"))
         assert [record.lsn for record in second] == [1, 2, 3, 4, 5, 6]
         db.crash()
         fresh = Database("w", wal_dir=str(tmp_path))
         fresh.create_table(schema())
-        assert fresh.recover() == 2
+        assert fresh.recover().txns_replayed == 2
         assert sorted(row for _rid, row in fresh.table("prov").scan()) == [
             (1, "I", "T/a", None),
             (2, "I", "T/b", None),
