@@ -11,7 +11,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from .errors import (
     TransactionError,
@@ -20,8 +30,8 @@ from .errors import (
 )
 from .expr import Expr
 from .plan import PlanNode, TableScanNode, explain as explain_plan
-from .query import PlanCache, Query, plan_mutation, plan_query
-from .schema import Column, IndexSpec, TableSchema
+from .query import PlanCache, Query, mutation_victims, plan_mutation, plan_query
+from .schema import TableSchema
 from .table import Table
 from .wal import (
     KIND_ABORT,
@@ -41,6 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with sql.py
     from .sql import PreparedStatement
 
 __all__ = ["Database"]
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -108,11 +120,6 @@ class Database:
         if schema.name in self.tables:
             raise UnknownTableError(f"table {schema.name!r} already exists")
         table = Table(schema)
-        # A primary key is also an index; register it for planning.
-        if schema.primary_key and table.index_on(schema.primary_key) is None:
-            table.create_index(
-                IndexSpec(f"{schema.name}_pk_idx", tuple(schema.primary_key), unique=True)
-            )
         self.tables[schema.name] = table
         self._schemas[schema.name] = schema
         self._ddl_epoch += 1
@@ -205,60 +212,55 @@ class Database:
         self._undo = []
         self._txn_failed = False
 
-    def _autocommit(self) -> bool:
-        """Begin an implicit transaction if none is active."""
-        if self._active_txn is None:
-            try:
-                self.begin()
-            except WALError:
-                # the BEGIN append failed after the transaction was
-                # opened; close it again so the failed statement leaves
-                # no transaction dangling
-                if self._active_txn is not None:
-                    self.rollback()
-                raise
-            return True
-        return False
+    def _statement(self, apply: Callable[[], _T]) -> _T:
+        """Run one DML statement: inside the active transaction, or else
+        in an implicit one that commits on success and rolls back on
+        any error."""
+        if self._active_txn is not None:
+            return apply()
+        try:
+            self.begin()
+        except WALError:
+            # the BEGIN append failed after the transaction was opened;
+            # close it again so the failed statement leaves no
+            # transaction dangling
+            if self._active_txn is not None:
+                self.rollback()
+            raise
+        try:
+            result = apply()
+        except Exception:
+            self.rollback()
+            raise
+        self.commit()
+        return result
+
+    def _log(self, kind: int, table_name: str, row: Tuple[Any, ...]) -> None:
+        if self._wal is not None:
+            self._wal_append(WalRecord(kind, self._active_txn, table_name, row))
 
     # ------------------------------------------------------------------
     # DML
     # ------------------------------------------------------------------
+    def _insert_row(self, table: Table, row: "Sequence[Any] | Dict[str, Any]") -> int:
+        rowid = table.insert(row)
+        stored = table.get(rowid)
+        # undo before WAL: if the log append fails, rollback (explicit
+        # or implicit) still knows how to take the row back out
+        self._undo.append(_UndoEntry("insert", table.schema.name, rowid, stored))
+        self._log(KIND_INSERT, table.schema.name, stored)
+        return rowid
+
     def insert(self, table_name: str, row: "Sequence[Any] | Dict[str, Any]") -> int:
         table = self.table(table_name)
-        implicit = self._autocommit()
-        try:
-            rowid = table.insert(row)
-            stored = table.get(rowid)
-            # undo before WAL: if the log append fails, rollback (explicit
-            # or implicit) still knows how to take the row back out
-            self._undo.append(_UndoEntry("insert", table_name, rowid, stored))
-            if self._wal is not None:
-                self._wal_append(
-                    WalRecord(KIND_INSERT, self._active_txn, table_name, stored)
-                )
-        except Exception:
-            if implicit:
-                self.rollback()
-            raise
-        if implicit:
-            self.commit()
-        return rowid
+        return self._statement(lambda: self._insert_row(table, row))
 
     def insert_many(
         self, table_name: str, rows: Sequence["Sequence[Any] | Dict[str, Any]"]
     ) -> List[int]:
-        implicit = self._autocommit()
-        rowids = []
-        try:
-            for row in rows:
-                rowids.append(self.insert(table_name, row))
-        except Exception:
-            if implicit:
-                self.rollback()
-            raise
-        if implicit:
-            self.commit()
-        return rowids
+        return self._statement(
+            lambda: [self._insert_row(self.table(table_name), row) for row in rows]
+        )
 
     def bulk_load(
         self, table_name: str, rows: Sequence["Sequence[Any] | Dict[str, Any]"]
@@ -279,21 +281,6 @@ class Database:
         table = self.table(table_name)
         return table.bulk_insert(rows)
 
-    def _select_victims(
-        self, table: Table, predicate: Optional[Expr], naive: bool
-    ) -> List[int]:
-        """Enumerate the row ids matching a DML predicate through the
-        planner's access paths (``naive=True`` forces the full-scan
-        oracle).  Materialized before any mutation so index scans never
-        observe their own statement's writes."""
-        node, residual = plan_mutation(table, predicate, naive=naive)
-        if residual is None:
-            return [rowid for rowid, _row in node.rows()]
-        as_dict = table.schema.row_as_dict
-        return [
-            rowid for rowid, row in node.rows() if residual.eval(as_dict(row))
-        ]
-
     def _reinsert_at(self, table: Table, rowid: int, row: Tuple[Any, ...]) -> None:
         """Re-insert ``row`` under its original ``rowid`` (undo of a
         delete)."""
@@ -303,6 +290,56 @@ class Database:
             table.insert(row)
         finally:
             table._next_rowid = max(saved, rowid + 1)
+
+    def _delete_rows(
+        self, table: Table, rowids: Sequence[int]
+    ) -> List[Tuple[int, Tuple[Any, ...]]]:
+        """Delete ``rowids`` atomically; returns ``(rowid, row)`` pairs.
+        A mid-batch failure reverts the rows already deleted, so nothing
+        of the failed statement reaches the undo log or the WAL."""
+        removed: List[Tuple[int, Tuple[Any, ...]]] = []
+        try:
+            for rowid in rowids:
+                removed.append((rowid, table.delete_row(rowid)))
+        except Exception:
+            for rowid, row in reversed(removed):
+                self._reinsert_at(table, rowid, row)
+            raise
+        table_name = table.schema.name
+        for rowid, row in removed:
+            self._undo.append(_UndoEntry("delete", table_name, rowid, row))
+        for _rowid, row in removed:
+            self._log(KIND_DELETE, table_name, row)
+        return removed
+
+    def _update_rows(
+        self, table: Table, rowids: Sequence[int], changes: Dict[str, Any]
+    ) -> List[Tuple[int, Tuple[Any, ...], Tuple[Any, ...]]]:
+        """Apply ``changes`` to ``rowids`` atomically; returns ``(rowid,
+        old, new)`` triples, logged as delete+insert pairs.  A constraint
+        violation on the Nth row reverts rows 1..N-1 in place (reverse
+        order) before anything reaches the undo log or the WAL."""
+        applied: List[Tuple[int, Tuple[Any, ...], Tuple[Any, ...]]] = []
+        try:
+            for rowid in rowids:
+                old, new = table.update_row(rowid, changes)
+                applied.append((rowid, old, new))
+        except Exception:
+            # Reverting in reverse order cannot itself conflict: the
+            # statement sets every row to the same values, so the old
+            # rows being restored were distinct before the call.
+            names = table.schema.column_names
+            for rowid, old, _new in reversed(applied):
+                table.update_row(rowid, dict(zip(names, old)))
+            raise
+        table_name = table.schema.name
+        for rowid, old, new in applied:
+            self._undo.append(_UndoEntry("delete", table_name, rowid, old))
+            self._undo.append(_UndoEntry("insert", table_name, rowid, new))
+        for _rowid, old, new in applied:
+            self._log(KIND_DELETE, table_name, old)
+            self._log(KIND_INSERT, table_name, new)
+        return applied
 
     def delete_rowid(self, table_name: str, rowid: int) -> Tuple[Any, ...]:
         """Transactionally delete one row *by row id*; returns the row.
@@ -315,48 +352,20 @@ class Database:
         identical to a one-victim ``delete_where``.
         """
         table = self.table(table_name)
-        implicit = self._autocommit()
-        try:
-            row = table.delete_row(rowid)
-            self._undo.append(_UndoEntry("delete", table_name, rowid, row))
-            if self._wal is not None:
-                self._wal_append(
-                    WalRecord(KIND_DELETE, self._active_txn, table_name, row)
-                )
-        except Exception:
-            if implicit:
-                self.rollback()
-            raise
-        if implicit:
-            self.commit()
-        return row
+        removed = self._statement(lambda: self._delete_rows(table, [rowid]))
+        return removed[0][1]
 
     def update_rowid(
         self, table_name: str, rowid: int, changes: Dict[str, Any]
     ) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
         """Transactionally update one row *by row id*; returns
         ``(old, new)``.  Companion of :meth:`delete_rowid` for MVCC
-        commit replay; modeled as delete+insert in the undo log and WAL,
-        exactly like one ``update_where`` victim."""
+        commit replay, with the bookkeeping of one ``update_where``
+        victim."""
         table = self.table(table_name)
-        implicit = self._autocommit()
-        try:
-            old, new = table.update_row(rowid, changes)
-            self._undo.append(_UndoEntry("delete", table_name, rowid, old))
-            self._undo.append(_UndoEntry("insert", table_name, rowid, new))
-            if self._wal is not None:
-                self._wal_append(
-                    WalRecord(KIND_DELETE, self._active_txn, table_name, old)
-                )
-                self._wal_append(
-                    WalRecord(KIND_INSERT, self._active_txn, table_name, new)
-                )
-        except Exception:
-            if implicit:
-                self.rollback()
-            raise
-        if implicit:
-            self.commit()
+        ((_rowid, old, new),) = self._statement(
+            lambda: self._update_rows(table, [rowid], changes)
+        )
         return old, new
 
     def delete_where(
@@ -365,42 +374,16 @@ class Database:
         """Delete matching rows; returns the count.
 
         Victims are enumerated through the planner
-        (:func:`~repro.storage.query.plan_mutation`): an indexable
+        (:func:`~repro.storage.query.mutation_victims`): an indexable
         predicate probes the same access paths a SELECT with this WHERE
         clause would — IN lists ride the multi-range union — instead of
         paying a raw full scan.  ``naive=True`` forces the full-scan
-        oracle (the differential DML tests).  The statement is atomic:
-        a mid-batch failure reverts the rows it already deleted and
-        appends nothing to the undo log or WAL.
+        oracle (the differential DML tests).  The statement is atomic
+        (see :meth:`_delete_rows`).
         """
         table = self.table(table_name)
-        doomed = self._select_victims(table, predicate, naive)
-        implicit = self._autocommit()
-        removed: List[Tuple[int, Tuple[Any, ...]]] = []
-        undo_logged = False
-        try:
-            for rowid in doomed:
-                removed.append((rowid, table.delete_row(rowid)))
-            for rowid, row in removed:
-                self._undo.append(_UndoEntry("delete", table_name, rowid, row))
-            undo_logged = True
-            if self._wal is not None:
-                for _rowid, row in removed:
-                    self._wal_append(
-                        WalRecord(KIND_DELETE, self._active_txn, table_name, row)
-                    )
-        except Exception:
-            if not undo_logged:
-                # mid-batch mutation failure: the undo log doesn't know
-                # these rows yet, so revert them by hand
-                for rowid, row in reversed(removed):
-                    self._reinsert_at(table, rowid, row)
-            if implicit:
-                self.rollback()
-            raise
-        if implicit:
-            self.commit()
-        return len(removed)
+        doomed = mutation_victims(table, predicate, naive=naive)
+        return len(self._statement(lambda: self._delete_rows(table, doomed)))
 
     def update_where(
         self,
@@ -413,48 +396,14 @@ class Database:
         """Update matching rows (modeled as delete+insert in the WAL).
 
         Victim enumeration is planner-routed exactly like
-        :meth:`delete_where`.  The statement is atomic: undo and WAL
-        records are buffered until every victim has been updated, so a
-        constraint violation on the Nth victim reverts victims 1..N-1
-        in place (reverse order) and leaves the transaction — and, for
-        implicit transactions, the table — exactly as before the call;
-        nothing of the failed statement reaches the WAL.
+        :meth:`delete_where`.  The statement is atomic (see
+        :meth:`_update_rows`): a failure leaves the transaction — and,
+        for implicit transactions, the table — exactly as before the
+        call.
         """
         table = self.table(table_name)
-        victims = self._select_victims(table, predicate, naive)
-        implicit = self._autocommit()
-        applied: List[Tuple[int, Tuple[Any, ...], Tuple[Any, ...]]] = []
-        undo_logged = False
-        try:
-            for rowid in victims:
-                old, new = table.update_row(rowid, changes)
-                applied.append((rowid, old, new))
-            for rowid, old, new in applied:
-                self._undo.append(_UndoEntry("delete", table_name, rowid, old))
-                self._undo.append(_UndoEntry("insert", table_name, rowid, new))
-            undo_logged = True
-            if self._wal is not None:
-                for _rowid, old, new in applied:
-                    self._wal_append(
-                        WalRecord(KIND_DELETE, self._active_txn, table_name, old)
-                    )
-                    self._wal_append(
-                        WalRecord(KIND_INSERT, self._active_txn, table_name, new)
-                    )
-        except Exception:
-            if not undo_logged:
-                # Reverting in reverse order cannot itself conflict: the
-                # statement sets every victim to the same values, so the
-                # old rows being restored were distinct before the call.
-                names = table.schema.column_names
-                for rowid, old, _new in reversed(applied):
-                    table.update_row(rowid, dict(zip(names, old)))
-            if implicit:
-                self.rollback()
-            raise
-        if implicit:
-            self.commit()
-        return len(applied)
+        victims = mutation_victims(table, predicate, naive=naive)
+        return len(self._statement(lambda: self._update_rows(table, victims, changes)))
 
     # ------------------------------------------------------------------
     # Queries

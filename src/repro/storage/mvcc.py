@@ -66,7 +66,7 @@ from .errors import (
 )
 from .expr import Expr
 from .plan import PlanNode
-from .query import Query, plan_mutation, plan_query
+from .query import Query, mutation_victims, plan_query
 from .table import Table
 
 __all__ = ["MVCCManager", "MVCCTransaction", "CommitRecord"]
@@ -491,7 +491,7 @@ class MVCCTransaction:
         ``predicate``; returns the count."""
         self._check_active()
         ws = self._workspace_for(table_name)
-        doomed = self._victims(ws, predicate)
+        doomed = mutation_victims(ws, predicate)
         for rowid in doomed:
             ws.delete_row(rowid)
             self._mark_write(table_name, rowid)
@@ -508,20 +508,12 @@ class MVCCTransaction:
         ``predicate``; returns the count."""
         self._check_active()
         ws = self._workspace_for(table_name)
-        victims = self._victims(ws, predicate)
+        victims = mutation_victims(ws, predicate)
         for rowid in victims:
             ws.update_row(rowid, changes)
             self._mark_write(table_name, rowid)
             self._ops.append(("update", table_name, rowid, dict(changes)))
         return len(victims)
-
-    @staticmethod
-    def _victims(table: Table, predicate: Optional[Expr]) -> List[int]:
-        node, residual = plan_mutation(table, predicate)
-        if residual is None:
-            return [rowid for rowid, _row in node.rows()]
-        as_dict = table.schema.row_as_dict
-        return [rowid for rowid, row in node.rows() if residual.eval(as_dict(row))]
 
     # ------------------------------------------------------------------
     # SQL
@@ -533,40 +525,21 @@ class MVCCTransaction:
         rejected here — run it via the database in autocommit instead.
         """
         from .sql import (  # deferred: sql.py imports db.py
-            DeleteStmt,
-            InsertStmt,
-            SelectStmt,
-            UpdateStmt,
+            CreateIndexStmt,
+            CreateTableStmt,
+            DropTableStmt,
+            _run_statement,
             parse_statement,
         )
 
         self._check_active()
         statement = parse_statement(text)
-        if isinstance(statement, SelectStmt):
-            return self.execute(statement.query)
-        if isinstance(statement, InsertStmt):
-            count = 0
-            for row in statement.rows:
-                if statement.columns is not None:
-                    self.insert(statement.table, dict(zip(statement.columns, row)))
-                else:
-                    self.insert(statement.table, row)
-                count += 1
-            return [{"affected": count}]
-        if isinstance(statement, DeleteStmt):
-            return [{"affected": self.delete_where(statement.table, statement.where)}]
-        if isinstance(statement, UpdateStmt):
-            return [
-                {
-                    "affected": self.update_where(
-                        statement.table, statement.changes, statement.where
-                    )
-                }
-            ]
-        raise TransactionError(
-            f"{type(statement).__name__} is DDL and not snapshot-versioned; "
-            "execute it outside a transaction"
-        )
+        if isinstance(statement, (CreateTableStmt, CreateIndexStmt, DropTableStmt)):
+            raise TransactionError(
+                f"{type(statement).__name__} is DDL and not snapshot-versioned; "
+                "execute it outside a transaction"
+            )
+        return _run_statement(self, statement)
 
     # ------------------------------------------------------------------
     # Outcome

@@ -40,13 +40,6 @@ __all__ = [
 
 Env = Dict[str, Any]
 
-#: rows per block in the chunked Volcano protocol (``PlanNode.chunks``).
-#: The same figure as the INLJ's probe batches: large enough to amortize
-#: per-block dispatch, small enough that streaming operators above a
-#: LIMIT never materialize much past the cutoff.
-CHUNK = 256
-
-
 def _env_from_row(table: Table, row: Tuple[Any, ...], alias: Optional[str]) -> Env:
     names = table.schema.column_names
     env = dict(zip(names, row))
@@ -59,27 +52,14 @@ def _env_from_row(table: Table, row: Tuple[Any, ...], alias: Optional[str]) -> E
 class PlanNode:
     """Base class for physical operators.
 
-    Two execution surfaces: the classic row-at-a-time :meth:`execute`
-    iterator, and the chunked protocol :meth:`chunks`, which yields the
-    same environments in row blocks of up to ``size``.  The scan →
-    filter → project spine overrides :meth:`chunks` natively (one
-    dispatch per block, tight list comprehensions per row) and derives
-    ``execute`` from it; every other operator gets a batching default,
-    so the two surfaces always agree and either one can sit above any
-    child.
+    One execution surface: :meth:`execute` streams the operator's
+    environments row at a time.  The scan → filter → project spine
+    builds them in generator expressions (no per-row method dispatch),
+    so a LIMIT above it stops pulling rows at the cutoff.
     """
 
     def execute(self) -> Iterator[Env]:
         raise NotImplementedError
-
-    def chunks(self, size: int = CHUNK) -> Iterator[List[Env]]:
-        """The operator's rows in blocks of up to ``size``."""
-        rows = self.execute()
-        while True:
-            block = list(islice(rows, size))
-            if not block:
-                return
-            yield block
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -105,26 +85,12 @@ class TableScanNode(PlanNode):
         raise NotImplementedError
 
     def execute(self) -> Iterator[Env]:
-        table, alias = self.table, self.alias
-        for _rowid, row in self.rows():
-            yield _env_from_row(table, row, alias)
-
-    def chunks(self, size: int = CHUNK) -> Iterator[List[Env]]:
         names = self.table.schema.column_names
         alias = self.alias
-        rows = self.rows()
-        while True:
-            batch = list(islice(rows, size))
-            if not batch:
-                return
-            if alias is None:
-                yield [dict(zip(names, row)) for _rowid, row in batch]
-            else:
-                qualified = tuple(f"{alias}.{name}" for name in names)
-                yield [
-                    dict(zip(names + qualified, row + row))
-                    for _rowid, row in batch
-                ]
+        if alias is None:
+            return (dict(zip(names, row)) for _rowid, row in self.rows())
+        names += tuple(f"{alias}.{name}" for name in names)
+        return (dict(zip(names, row + row)) for _rowid, row in self.rows())
 
 
 @dataclass
@@ -277,8 +243,7 @@ class FilterNode(PlanNode):
     """Residual predicate over the child's rows.
 
     The predicate is compiled into a specialized closure once, at plan
-    construction (so a cached plan pays it once across all executions),
-    and applied block-at-a-time over the child's chunks.
+    construction (so a cached plan pays it once across all executions).
     """
 
     child: PlanNode
@@ -288,15 +253,8 @@ class FilterNode(PlanNode):
         self._compiled = compile_expr(self.predicate)
 
     def execute(self) -> Iterator[Env]:
-        for block in self.chunks():
-            yield from block
-
-    def chunks(self, size: int = CHUNK) -> Iterator[List[Env]]:
         predicate = self._compiled
-        for block in self.child.chunks(size):
-            passed = [env for env in block if predicate(env)]
-            if passed:
-                yield passed
+        return (env for env in self.child.execute() if predicate(env))
 
     def describe(self) -> str:
         return f"Filter({self.predicate!r})"
@@ -307,8 +265,8 @@ class FilterNode(PlanNode):
 
 @dataclass
 class ProjectNode(PlanNode):
-    """Projection; output expressions are compiled once per plan and
-    applied block-at-a-time, like :class:`FilterNode`."""
+    """Projection; output expressions are compiled once per plan, like
+    :class:`FilterNode`'s predicate."""
 
     child: PlanNode
     outputs: List[Tuple[str, Expr]]  # (output name, expression)
@@ -317,13 +275,8 @@ class ProjectNode(PlanNode):
         self._compiled = [(name, compile_expr(expr)) for name, expr in self.outputs]
 
     def execute(self) -> Iterator[Env]:
-        for block in self.chunks():
-            yield from block
-
-    def chunks(self, size: int = CHUNK) -> Iterator[List[Env]]:
         compiled = self._compiled
-        for block in self.child.chunks(size):
-            yield [{name: fn(env) for name, fn in compiled} for env in block]
+        return ({name: fn(env) for name, fn in compiled} for env in self.child.execute())
 
     def describe(self) -> str:
         return "Project(" + ", ".join(name for name, _ in self.outputs) + ")"

@@ -101,6 +101,7 @@ __all__ = [
     "PlannerStats",
     "plan_query",
     "plan_mutation",
+    "mutation_victims",
     "query_fingerprint",
 ]
 
@@ -2219,3 +2220,17 @@ def plan_mutation(
     else:
         combined = And(*parts)
     return node, combined
+
+
+def mutation_victims(
+    table: Table, predicate: Optional[Expr], *, naive: bool = False
+) -> List[int]:
+    """The row ids a DML statement with ``predicate`` affects, found
+    through :func:`plan_mutation`'s access path and residual filter.
+    Materialized before any mutation so index scans never observe
+    their own statement's writes."""
+    node, residual = plan_mutation(table, predicate, naive=naive)
+    if residual is None:
+        return [rowid for rowid, _row in node.rows()]
+    as_dict = table.schema.row_as_dict
+    return [rowid for rowid, row in node.rows() if residual.eval(as_dict(row))]

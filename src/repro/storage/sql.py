@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from .db import Database
 from .errors import SQLError
@@ -51,6 +51,9 @@ from .expr import (
 from .query import JoinSpec, Query, TableRef
 from .schema import Column, IndexSpec, TableSchema
 from .types import ColumnType
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle with mvcc.py
+    from .mvcc import MVCCTransaction
 
 __all__ = ["execute_sql", "parse_statement", "PreparedStatement", "SQLError"]
 
@@ -740,7 +743,13 @@ def execute_sql(db: Database, sql: str) -> List[Dict[str, Any]]:
     return _run_statement(db, parse_statement(sql))
 
 
-def _run_statement(db: Database, statement: Statement) -> List[Dict[str, Any]]:
+def _run_statement(
+    db: "Database | MVCCTransaction", statement: Statement
+) -> List[Dict[str, Any]]:
+    """Execute a parsed statement against a :class:`Database` or an
+    ``MVCCTransaction`` (which rejects DDL before calling this); both
+    supply ``insert`` / ``delete_where`` / ``update_where`` /
+    ``execute``."""
     if isinstance(statement, CreateTableStmt):
         db.create_table(statement.schema)
         return []
@@ -751,14 +760,10 @@ def _run_statement(db: Database, statement: Statement) -> List[Dict[str, Any]]:
         db.drop_table(statement.table)
         return []
     if isinstance(statement, InsertStmt):
-        count = 0
+        columns = statement.columns
         for row in statement.rows:
-            if statement.columns is not None:
-                db.insert(statement.table, dict(zip(statement.columns, row)))
-            else:
-                db.insert(statement.table, row)
-            count += 1
-        return [{"affected": count}]
+            db.insert(statement.table, row if columns is None else dict(zip(columns, row)))
+        return [{"affected": len(statement.rows)}]
     if isinstance(statement, SelectStmt):
         return db.execute(statement.query)
     if isinstance(statement, DeleteStmt):

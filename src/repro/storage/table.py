@@ -1,4 +1,4 @@
-"""Heap table with primary-key enforcement and secondary index maintenance."""
+"""Heap table with index maintenance; the primary key is one of its unique indexes."""
 
 from __future__ import annotations
 
@@ -190,7 +190,11 @@ class _MaxStat:
 
 class Table:
     """Rows stored in an in-memory heap keyed by monotonically increasing
-    row ids, with automatic primary-key and secondary-index maintenance.
+    row ids, with automatic index maintenance.
+
+    The primary key is enforced by an ordinary unique index: the
+    constructor reuses a declared unique index over exactly the key
+    columns, or else adds ``<table>_pk_idx`` after the declared ones.
 
     Byte accounting (``byte_size``) tracks the encoded size of the live
     rows, which is what the paper reports for provenance store sizes.
@@ -208,9 +212,6 @@ class Table:
         self._byte_size = 0
         self._rows_ordered = True
         self._max_seen_rowid = 0
-        self._pk_index: Optional[HashIndex] = None
-        if schema.primary_key:
-            self._pk_index = HashIndex(f"{schema.name}_pk", unique=True)
         self._indexes: Dict[str, Union[HashIndex, OrderedIndex]] = {}
         self._index_specs: Dict[str, IndexSpec] = {}
         self._max_stats: Dict[str, Tuple[int, _MaxStat]] = {}
@@ -256,6 +257,9 @@ class Table:
         }
         for spec in schema.indexes:
             self.create_index(spec)
+        #: name of the unique index enforcing the primary key (None: no key)
+        self._pk_name: Optional[str] = None
+        self._add_pk_index()
 
     # ------------------------------------------------------------------
     # Index management
@@ -295,6 +299,28 @@ class Table:
         # surface (ordered indexes feed histogram sampling), so it must
         # move the stats epoch or cached histograms/plans survive stale
         self._version += 1
+
+    def _add_pk_index(self) -> None:
+        """Pick the index that enforces the primary key: a unique index
+        over exactly the key columns, or a new ``<table>_pk_idx``."""
+        key = self.schema.primary_key
+        if not key:
+            return
+        for name, spec in self._index_specs.items():
+            if spec.unique and spec.columns == key:
+                self._pk_name = name
+                return
+        self._pk_name = f"{self.schema.name}_pk_idx"
+        self.create_index(IndexSpec(self._pk_name, key, unique=True))
+
+    def _reject_null_pk(self, row: Row) -> None:
+        """Input validation: no primary-key component may be NULL."""
+        if self._pk_name is not None and any(
+            part is None for part in self.schema.key_of(row)
+        ):
+            raise ConstraintError(
+                f"primary key of {self.schema.name!r} may not contain NULL"
+            )
 
     def _reject_unordered_key(self, name: str, key: Tuple[Any, ...]) -> Tuple[Any, ...]:
         """Validate a key headed for an ordered index and return it.
@@ -439,16 +465,9 @@ class Table:
         """Insert a row; returns its row id."""
         normalized = self.schema.normalize_row(row)
         rowid = self._next_rowid
-        if self._pk_index is not None:
-            pk_key = self.schema.key_of(normalized)
-            if any(part is None for part in pk_key):
-                raise ConstraintError(
-                    f"primary key of {self.schema.name!r} may not contain NULL"
-                )
+        self._reject_null_pk(normalized)
         self._stats_seq += 1
         try:
-            if self._pk_index is not None:
-                self._pk_index.insert(pk_key, rowid)
             try:
                 for name, index in self._indexes.items():
                     spec = self._index_specs[name]
@@ -458,12 +477,11 @@ class Table:
                     index.insert(key, rowid)
             except Exception as exc:
                 # roll back the partial index insertions — on *any* failure,
-                # not just duplicate keys: an escape here after the pk index
-                # was updated would leave a phantom pk entry that blocks the
-                # key forever (no heap row to delete it through)
+                # not just duplicate keys: an escape here after an earlier
+                # index (the primary key's among them) was updated would
+                # leave a phantom entry that blocks the key forever (no
+                # heap row to delete it through)
                 self._unindex(rowid, normalized, stop_at=name)
-                if self._pk_index is not None:
-                    self._pk_index.delete(self.schema.key_of(normalized), rowid)
                 if isinstance(exc, TypeError):
                     # backstop for incomparable non-NULL components
                     raise ConstraintError(
@@ -486,8 +504,8 @@ class Table:
         """Append a batch of rows with one index pass instead of per-row
         index maintenance; returns the new row ids.
 
-        Validate-then-apply: primary-key and unique-index violations
-        (against existing rows *and* within the batch) are detected
+        Validate-then-apply: unique-index violations, the primary key's
+        included (against existing rows *and* within the batch) are detected
         before any structure is touched, so a failing batch leaves the
         table unchanged.  Index maintenance then takes the cheapest
         lifecycle path per index — an empty index is bulk-built from the
@@ -504,20 +522,8 @@ class Table:
         rowids = list(range(first, first + len(normalized)))
 
         # -- validate ---------------------------------------------------
-        if self._pk_index is not None:
-            seen: Set[Tuple[Any, ...]] = set()
-            for row in normalized:
-                key = self.schema.key_of(row)
-                if any(part is None for part in key):
-                    raise ConstraintError(
-                        f"primary key of {self.schema.name!r} may not contain NULL"
-                    )
-                if key in seen or self._pk_index.contains(key):
-                    raise DuplicateKeyError(
-                        f"duplicate key {key!r} in unique index "
-                        f"{self._pk_index.name!r}"
-                    )
-                seen.add(key)
+        for row in normalized:
+            self._reject_null_pk(row)
         batch_entries: Dict[str, List[Tuple[Tuple[Any, ...], int]]] = {}
         for name, index in self._indexes.items():
             spec = self._index_specs[name]
@@ -529,12 +535,12 @@ class Table:
             if spec.ordered:
                 # same validate-then-apply hole as ``insert``: an ordered
                 # index rejecting a NULL key mid-apply (after the heap,
-                # pk, and stats were mutated) would strand phantoms —
-                # reject in the validate phase instead
+                # earlier indexes, and stats were mutated) would strand
+                # phantoms — reject in the validate phase instead
                 for key, _rowid in entries:
                     self._reject_unordered_key(name, key)
             if index.unique:
-                seen = set()
+                seen: Set[Tuple[Any, ...]] = set()
                 for key, _rowid in entries:
                     if key in seen or index.contains(key):
                         raise DuplicateKeyError(
@@ -552,9 +558,6 @@ class Table:
                 self._stats_add(row)
             self._next_rowid = rowids[-1] + 1
             self._max_seen_rowid = rowids[-1]  # fresh ids: dict stays ordered
-            if self._pk_index is not None:
-                for row, rowid in zip(normalized, rowids):
-                    self._pk_index.insert(self.schema.key_of(row), rowid)
             for name, entries in batch_entries.items():
                 index = self._indexes[name]
                 spec = self._index_specs[name]
@@ -594,8 +597,6 @@ class Table:
         self._stats_seq += 1
         try:
             row = self._rows.pop(rowid)
-            if self._pk_index is not None:
-                self._pk_index.delete(self.schema.key_of(row), rowid)
             for name, index in self._indexes.items():
                 spec = self._index_specs[name]
                 index.delete(self.schema.project(row, spec.columns), rowid)
@@ -624,21 +625,7 @@ class Table:
             return old, new
 
         # -- validate ---------------------------------------------------
-        pk_change: Optional[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = None
-        if self._pk_index is not None:
-            old_key = self.schema.key_of(old)
-            new_key = self.schema.key_of(new)
-            if new_key != old_key:
-                if any(part is None for part in new_key):
-                    raise ConstraintError(
-                        f"primary key of {self.schema.name!r} may not contain NULL"
-                    )
-                if self._pk_index.contains(new_key):
-                    raise DuplicateKeyError(
-                        f"duplicate key {new_key!r} in unique index "
-                        f"{self._pk_index.name!r}"
-                    )
-                pk_change = (old_key, new_key)
+        self._reject_null_pk(new)
         changed: List[Tuple[Union[HashIndex, OrderedIndex], Tuple[Any, ...], Tuple[Any, ...]]] = []
         for name, index in self._indexes.items():
             spec = self._index_specs[name]
@@ -649,7 +636,7 @@ class Table:
                 continue
             if spec.ordered:
                 # must fail in the validate phase: a TypeError during the
-                # swap would leave the pk index already moved
+                # swap would leave earlier indexes already moved
                 self._reject_unordered_key(name, new_proj)
             if index.unique and index.lookup(new_proj):
                 raise DuplicateKeyError(
@@ -660,9 +647,6 @@ class Table:
         # -- swap -------------------------------------------------------
         self._stats_seq += 1
         try:
-            if pk_change is not None:
-                self._pk_index.delete(pk_change[0], rowid)
-                self._pk_index.insert(pk_change[1], rowid)
             for index, old_proj, new_proj in changed:
                 index.delete(old_proj, rowid)
                 index.insert(new_proj, rowid)
@@ -682,8 +666,6 @@ class Table:
             self._byte_size = 0
             self._rows_ordered = True
             self._max_seen_rowid = 0
-            if self._pk_index is not None:
-                self._pk_index.clear()
             for index in self._indexes.values():
                 index.clear()
             for _position, stat in self._max_stats.values():
@@ -714,9 +696,9 @@ class Table:
         return self._rows[rowid]
 
     def lookup_pk(self, key: Tuple[Any, ...]) -> Optional[Tuple[int, Row]]:
-        if self._pk_index is None:
+        if self._pk_name is None:
             raise ConstraintError(f"table {self.schema.name!r} has no primary key")
-        for rowid in self._pk_index.lookup_iter(key):
+        for rowid in self._indexes[self._pk_name].lookup_iter(key):
             return rowid, self._rows[rowid]
         return None
 
@@ -845,7 +827,8 @@ class Table:
         byte_size: Optional[int] = None,
     ) -> "Table":
         """Materialize a table holding exactly ``rows`` (rowid -> row),
-        *preserving row ids*, with ``index_specs`` rebuilt over them.
+        *preserving row ids*, with ``index_specs`` rebuilt over them (plus
+        the primary key's index, if ``index_specs`` has none).
 
         This is the MVCC layer's shadow-table constructor: snapshot
         views and transaction workspaces reconstruct historical row
@@ -868,12 +851,9 @@ class Table:
             if byte_size is not None
             else sum(schema.row_bytes(row) for row in ordered.values())
         )
-        if table._pk_index is not None:
-            key_of = schema.key_of
-            for rowid, row in ordered.items():
-                table._pk_index.insert(key_of(row), rowid)
         for spec in index_specs:
             table.create_index(spec)
+        table._add_pk_index()
         return table
 
     @property
