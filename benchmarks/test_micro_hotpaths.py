@@ -40,7 +40,6 @@ from repro.storage.schema import Column, IndexSpec, TableSchema
 from repro.storage.table import Table
 from repro.storage.types import ColumnType
 from repro.xmldb.axes import descendants_by_label
-from repro.xmldb.index import ElementIndex, evaluate_indexed
 from repro.xmldb.store import XMLDatabase
 from repro.xmldb.xpath import XPath, base_label
 
@@ -689,12 +688,11 @@ def make_xml_store(molecules: int) -> XMLDatabase:
 
 
 def test_xml_indexed_lookup():
-    """Descendant XPath steps through the OrderedIndex-backed element
-    index vs the prior path without an index: exporting the whole store
-    as a value tree and walking it per query."""
+    """Descendant XPath steps through the store's OrderedIndex-backed
+    ``(base_label, pre)`` index vs the prior path without an index:
+    exporting the whole store as a value tree and walking it per query."""
     molecules = 150 * SCALE
     db = make_xml_store(molecules)
-    index = ElementIndex(db)
     expressions = ["//name", "//partner", "//interactions", "//interaction"] * 3
 
     def run_unindexed():
@@ -706,7 +704,7 @@ def test_xml_indexed_lookup():
     def run_indexed():
         total = 0
         for expression in expressions:
-            total += len(evaluate_indexed(db, index, expression))
+            total += len(XPath(expression).evaluate_store(db))
         return total
 
     assert run_unindexed() == run_indexed()  # identical result sets
@@ -1003,8 +1001,7 @@ def test_xml_axis_scan():
     widens with fan-out."""
     molecules = 150 * SCALE
     db = make_xml_store(molecules)
-    index = ElementIndex(db)
-    contexts = list(index.lookup_iter("molecule"))  # document (pre) order
+    contexts = descendants_by_label(db, [db.ROOT_ID], "molecule")  # document order
     labels = ["interaction", "partner", "name"]
     repeats = 4
 

@@ -11,18 +11,22 @@ axis of ``v``        interval predicate
 descendant           ``v.pre < u.pre < v.post``
 child                descendant with ``u.level == v.level + 1``
 ancestor             ``u.pre < v.pre`` and ``u.post > v.post``
-parent               rank predecessor at ``v.level - 1``
+parent               ancestor with ``u.level == v.level - 1``
 following-sibling    ``v.post < u.pre < parent.post`` at ``v.level``
 preceding-sibling    ``parent.pre < u.pre < v.pre`` at ``v.level``
 following            ``u.pre > v.post``
 preceding            ``u.post < v.pre``
 ===================  ================================================
 
-Each predicate is evaluated as an :class:`~repro.storage.index.
-OrderedIndex` ``range`` / ``multi_range`` scan over the store's
-``(pre,)``, ``(base_label, pre)`` and ``(level, pre)`` indexes — never a
-per-node tree walk (``XMLDatabase.access_counts`` counts the scans, the
-EXPLAIN-style evidence the tests assert on).
+``parent`` and ``ancestor`` follow the store's parent pointers, which
+answer them without the encoding.  Every other predicate is evaluated
+as an :class:`~repro.storage.index.OrderedIndex` ``range`` /
+``multi_range`` scan over the store's ``(pre,)``, ``(base_label, pre)``
+and ``(level, pre)`` indexes — never a per-node tree walk
+(``XMLDatabase.access_counts`` counts the scans, the EXPLAIN-style
+evidence the tests assert on).  The indexes are reached only through
+``XMLDatabase._encoding()``, which rebuilds them first if an edit made
+them stale.
 
 :func:`evaluate_xpath` runs the whole XPath subset this way.  Batched
 descendant steps apply *staircase pruning* first: context nodes nested
@@ -125,10 +129,9 @@ def descendants_by_label(
         pre, post = db.interval(nid)
         ranges.append(((base, pre), (base, post), False, False))
     db.access_counts["multi_range_scan"] += 1
-    out = list(db._label_index.multi_range(ranges, presorted=True))
+    out = list(db._encoding().label.multi_range(ranges, presorted=True))
     if base != label:
         out = [nid for nid in out if db.label_of(nid) == label]
-    db.charge_axis(len(out))
     return out
 
 
@@ -143,19 +146,16 @@ def _descendant_step(
             pre, post = db.interval(nid)
             ranges.append(((base, pre), (base, post), False, False))
         db.access_counts["multi_range_scan"] += 1
-        out = [
+        return [
             nid
-            for nid in db._label_index.multi_range(ranges, presorted=True)
+            for nid in db._encoding().label.multi_range(ranges, presorted=True)
             if _label_matches(step, db.label_of(nid))
         ]
-    else:
-        for nid in roots:
-            pre, post = db.interval(nid)
-            ranges.append((((pre,), (post,), False, False)))
-        db.access_counts["multi_range_scan"] += 1
-        out = list(db._pre_index.multi_range(ranges, presorted=True))
-    db.charge_axis(len(out))
-    return out
+    for nid in roots:
+        pre, post = db.interval(nid)
+        ranges.append((((pre,), (post,), False, False)))
+    db.access_counts["multi_range_scan"] += 1
+    return list(db._encoding().pre.multi_range(ranges, presorted=True))
 
 
 def _child_step(db: XMLDatabase, frontier: List[NodeId], step: _Step) -> List[NodeId]:
@@ -169,19 +169,18 @@ def _child_step(db: XMLDatabase, frontier: List[NodeId], step: _Step) -> List[No
             pre, post = db.interval(nid)
             ranges.append(((level + 1, pre), (level + 1, post), False, False))
         db.access_counts["multi_range_scan"] += 1
-        for cid in db._level_index.multi_range(ranges, presorted=True):
+        for cid in db._encoding().level.multi_range(ranges, presorted=True):
             node = db._nodes[cid]
             if step.label is None or _label_matches(step, node.label):
                 hits.append((node.pre, cid))
     hits.sort()
-    db.charge_axis(len(hits))
     return [cid for _pre, cid in hits]
 
 
 def _passes_predicate(db: XMLDatabase, node_id: NodeId, step: _Step) -> bool:
     child_label, wanted = step.predicate  # type: ignore[misc]
-    child = db._child_node(db._node(node_id), child_label)
-    return child is not None and child.value == wanted
+    child = db._node(node_id).children.get(child_label)
+    return child is not None and db.value_of(child) == wanted
 
 
 def evaluate_ids(db: XMLDatabase, xpath: XPath) -> List[NodeId]:

@@ -7,9 +7,14 @@ the shape of a native XML database's node storage.  Updates allocate and
 free node ids; byte accounting mirrors a simple on-disk node record
 layout (id, parent id, label, optional value).
 
-Since PR 9 every node additionally carries a maintained
-``(pre, post, level)`` *interval encoding* — the XPath-accelerator
-design: ``pre``/``post`` are ranks in one shared counter space such that
+The pointer structure (parent id, label → child id map, and the depth
+``level`` fixed when a node is created) is the only state an edit
+maintains.  Path lookup, subtree export, path reconstruction and
+deletion are pointer walks over it.
+
+For the XPath axes the store derives a ``(pre, post, level)`` *interval
+encoding* — the XPath-accelerator design: ``pre``/``post`` are ranks in
+one shared counter space such that
 
 * a node's interval strictly nests inside its parent's
   (``parent.pre < node.pre`` and ``node.post < parent.post``),
@@ -23,19 +28,16 @@ uses) is therefore exactly ascending ``pre`` order, and *descendant* is
 interval containment: ``d`` is a descendant of ``a`` iff
 ``a.pre < d.pre < a.post``.  The encoding lives in three storage-layer
 :class:`~repro.storage.index.OrderedIndex`es — keyed ``(pre,)``,
-``(base_label, pre)`` and ``(level, pre)`` — so subtree export, path
-reconstruction, containment checks and every XPath axis
-(:mod:`repro.xmldb.axes`) are blocked index range / multi-range scans
-instead of pointer-chasing tree walks.
+``(base_label, pre)`` and ``(level, pre)`` — so every XPath axis
+(:mod:`repro.xmldb.axes`) is a blocked index range / multi-range scan
+instead of a pointer-chasing tree walk.
 
-Ranks are *gap-allocated*: fresh slots are spread through the gap
-between the new node's interval neighbours (biased low on appends, high
-on prepends, centered for interior inserts) so ``add_node`` /
-``paste_node`` almost never disturb existing ranks.  When a gap is
-exhausted the whole tree is renumbered with fresh gaps
-(:meth:`XMLDatabase._renumber` — the one full-tree pass, analogous to
-an index rebuild) and :attr:`XMLDatabase.structure_version` is bumped
-so dependents holding cached ranks know to invalidate.
+The encoding is derived state, like an index rebuilt on recovery: any
+``add_node`` / ``delete_node`` / ``paste_node`` marks it stale, and the
+first read that needs it ranks the whole tree in one depth-first pass
+and bulk-builds the three indexes (:meth:`XMLDatabase._encoding`, the
+one guard every encoding read goes through).  An editing session that
+never reads an axis never builds it.
 
 The store's public update API (``add_node`` / ``delete_node`` /
 ``paste_node``) is intentionally the Figure 6 target-database contract,
@@ -44,27 +46,16 @@ so wrapping it for the editor is trivial.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..core.paths import Path
 from ..core.tree import Tree, Value, value_size
-from ..storage.index import MIN_KEY, OrderedIndex
+from ..storage.index import OrderedIndex
 from .xpath import base_label
 
-__all__ = ["NodeId", "XMLDatabase", "XMLDBError", "DEFAULT_SPACING"]
+__all__ = ["NodeId", "XMLDatabase", "XMLDBError"]
 
 NodeId = int
-
-#: Rank distance between consecutive slots after a renumber.  Gaps of
-#: ``DEFAULT_SPACING - 1`` absorb that many interval endpoints before the
-#: next renumber; Python ints are unbounded so generosity is free.
-DEFAULT_SPACING = 1 << 16
-
-#: Cap on the stride used when spreading fresh slots through a huge gap:
-#: allocations hug their low/high neighbour at this pitch instead of
-#: bisecting the whole gap, which keeps room for the (overwhelmingly
-#: common) append-next-sibling pattern.
-_APPEND_STRIDE = 1 << 8
 
 
 class XMLDBError(Exception):
@@ -80,19 +71,29 @@ class _Node:
         parent: Optional[NodeId],
         label: str,
         value: Value = None,
+        level: int = 0,
     ) -> None:
         self.node_id = node_id
         self.parent = parent
         self.label = label
         self.value = value
         self.children: Dict[str, NodeId] = {}
+        #: ranks, valid only while the store's encoding is built
         self.pre = 0
         self.post = 0
-        self.level = 0
+        self.level = level
 
     def record_bytes(self) -> int:
         # id (8) + parent (8) + label length header (2) + label + value
         return 18 + len(self.label.encode("utf-8")) + value_size(self.value)
+
+
+class _Encoding(NamedTuple):
+    """The three interval-encoding indexes, built together."""
+
+    pre: OrderedIndex  # (pre,) -> id
+    label: OrderedIndex  # (base_label, pre) -> id, root excluded
+    level: OrderedIndex  # (level, pre) -> id
 
 
 class XMLDatabase:
@@ -100,69 +101,23 @@ class XMLDatabase:
 
     ROOT_ID: NodeId = 0
 
-    def __init__(self, name: str = "xmldb", *, spacing: int = DEFAULT_SPACING) -> None:
-        if spacing < 4:
-            raise XMLDBError(f"{name}: spacing must be >= 4, got {spacing}")
+    def __init__(self, name: str = "xmldb") -> None:
         self.name = name
-        self._spacing = spacing
         root = _Node(self.ROOT_ID, None, "")
-        root.pre, root.post, root.level = 0, 2 * spacing, 0
         self._nodes: Dict[NodeId, _Node] = {self.ROOT_ID: root}
         self._next_id: NodeId = 1
         self._byte_size = root.record_bytes()
-        self._observers: List[object] = []
-        #: bumped whenever a renumber reassigns ranks; anything caching
-        #: pre/post values must revalidate against this counter
-        self.structure_version = 0
+        #: the interval encoding; ``None`` while stale
+        self._encoded: Optional[_Encoding] = None
         #: encoding access accounting (the xmldb analogue of
-        #: ``Table.access_counts``) — tests assert hot paths are index
-        #: scans, not per-node tree walks
+        #: ``Table.access_counts``) — tests assert axis reads are index
+        #: scans, not per-node tree walks; ``renumber`` counts encoding
+        #: builds
         self.access_counts: Dict[str, int] = {
             "range_scan": 0,
             "multi_range_scan": 0,
-            "ancestor_probe": 0,
             "renumber": 0,
         }
-        self._pre_index = OrderedIndex(f"{name}_pre")
-        self._label_index = OrderedIndex(f"{name}_label")
-        self._level_index = OrderedIndex(f"{name}_level")
-        self._pre_index.insert((root.pre,), root.node_id)
-        self._level_index.insert((root.level, root.pre), root.node_id)
-        self._clock = None
-        self._cost_model = None
-
-    # ------------------------------------------------------------------
-    # Virtual-clock accounting (axis scans are charged like any other
-    # store query when the database participates in an experiment)
-    # ------------------------------------------------------------------
-    def attach_clock(self, clock, cost_model) -> None:
-        """Charge axis scans to ``clock`` under the ``xml.axis_scan``
-        category using ``cost_model.query_cost``."""
-        self._clock = clock
-        self._cost_model = cost_model
-
-    def charge_axis(self, rows: int) -> None:
-        if self._clock is not None:
-            self._clock.charge("xml.axis_scan", self._cost_model.query_cost(rows))
-
-    # ------------------------------------------------------------------
-    # Observers (secondary structures subscribe to node churn)
-    # ------------------------------------------------------------------
-    def add_observer(self, observer: object) -> None:
-        """Register an observer with ``node_added(id, label)`` /
-        ``node_removed(id, label)`` hooks (e.g. an element index)."""
-        self._observers.append(observer)
-
-    def remove_observer(self, observer: object) -> None:
-        self._observers.remove(observer)
-
-    def _notify_added(self, node_id: NodeId, label: str) -> None:
-        for observer in self._observers:
-            observer.node_added(node_id, label)
-
-    def _notify_removed(self, node_id: NodeId, label: str) -> None:
-        for observer in self._observers:
-            observer.node_removed(node_id, label)
 
     # ------------------------------------------------------------------
     # Node addressing
@@ -175,91 +130,31 @@ class XMLDatabase:
         return node_id
 
     def lookup(self, path: "Path | str") -> Optional[NodeId]:
-        """Resolve a path by successive interval narrowing: each step is
-        a ``(base_label, pre)`` range scan clamped to the current node's
-        interval, filtered to direct children (``level + 1``) with the
-        exact edge label."""
-        node = self._nodes[self.ROOT_ID]
+        """Resolve a path one keyed child map at a time."""
+        node_id = self.ROOT_ID
         for label in Path.of(path):
-            child = self._child_node(node, label)
-            if child is None:
+            node_id = self._nodes[node_id].children.get(label)
+            if node_id is None:
                 return None
-            node = child
-        return node.node_id
-
-    def _child_node(self, parent: _Node, label: str) -> Optional[_Node]:
-        base = base_label(label)
-        self.access_counts["range_scan"] += 1
-        for nid in self._label_index.range(
-            (base, parent.pre), (base, parent.post), include_low=False, include_high=False
-        ):
-            node = self._nodes[nid]
-            if node.level == parent.level + 1 and node.label == label:
-                return node
-        return None
+        return node_id
 
     def path_of(self, node_id: NodeId) -> Path:
-        """The (unique) path addressing a node, reconstructed from the
-        encoding: each ancestor is the rank-predecessor probe at the
-        next-shallower level (the last node at depth ``d - 1`` before
-        ``pre`` in document order is necessarily the parent)."""
-        labels: List[str] = []
-        node = self._node(node_id)
-        while node.level > 0:
-            labels.append(node.label)
-            node = self._parent_node(node)
-        return Path(reversed(labels))
-
-    def _parent_node(self, node: _Node) -> _Node:
-        self.access_counts["ancestor_probe"] += 1
-        for nid in self._level_index.range(
-            (node.level - 1, MIN_KEY),
-            (node.level - 1, node.pre),
-            include_high=False,
-            reverse=True,
-        ):
-            return self._nodes[nid]
-        raise XMLDBError(f"{self.name}: node {node.node_id} has no parent")
+        """The (unique) path addressing a node, by walking parent
+        pointers."""
+        return self.paths_of([node_id])[0]
 
     def paths_of(self, node_ids: List[NodeId]) -> List[Path]:
-        """Paths for a document-ordered id list, reconstructed from the
-        encoding in one batch: dense result sets ride a single stacked
-        prefix scan of the ``(pre,)`` index, sparse ones use
-        ancestor-predecessor probes with a shared memo (each distinct
-        ancestor is probed once across the whole batch)."""
-        if not node_ids:
-            return []
-        if len(node_ids) * 8 >= len(self._nodes):
-            return self._paths_scan(node_ids)
-        return self._paths_probe(node_ids)
-
-    def _paths_scan(self, node_ids: List[NodeId]) -> List[Path]:
-        want = set(node_ids)
-        found: Dict[NodeId, Path] = {}
-        prefixes: List[Path] = [Path()]
-        hi_pre = self._node(node_ids[-1]).pre
-        self.access_counts["range_scan"] += 1
-        for nid in self._pre_index.range(None, (hi_pre,)):
-            node = self._nodes[nid]
-            if node.level == 0:
-                path = Path()
-            else:
-                del prefixes[node.level:]
-                path = prefixes[node.level - 1].child(node.label)
-                prefixes.append(path)
-            if nid in want:
-                found[nid] = path
-        return [found[nid] for nid in node_ids]
-
-    def _paths_probe(self, node_ids: List[NodeId]) -> List[Path]:
+        """Paths for a batch of node ids, by walking parent pointers with
+        a shared memo: each distinct ancestor is visited once across the
+        whole batch."""
         memo: Dict[NodeId, Path] = {self.ROOT_ID: Path()}
         out: List[Path] = []
         for nid in node_ids:
             chain: List[_Node] = []
-            node = self._nodes[nid]
+            node = self._node(nid)
             while node.node_id not in memo:
                 chain.append(node)
-                node = self._parent_node(node)
+                node = self._nodes[node.parent]
             path = memo[node.node_id]
             for link in reversed(chain):
                 path = path.child(link.label)
@@ -272,6 +167,17 @@ class XMLDatabase:
             return self._nodes[node_id]
         except KeyError:
             raise XMLDBError(f"{self.name}: dangling node id {node_id}") from None
+
+    def _preorder(self, top: _Node) -> Iterator[_Node]:
+        """``top`` and its descendants in document order (children in
+        sorted label order), by an explicit stack, so arbitrarily deep
+        trees cannot exhaust the recursion limit."""
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            yield node
+            children = node.children
+            stack.extend(self._nodes[children[label]] for label in sorted(children, reverse=True))
 
     # ------------------------------------------------------------------
     # Inspection
@@ -290,17 +196,13 @@ class XMLDatabase:
         return self._export(self.resolve(path))
 
     def _export(self, node_id: NodeId) -> Tree:
-        """One ``(pre,)`` range scan over the node's interval; the
-        pre-ordered stream rebuilds the tree with an explicit level
-        stack (no recursion, no pointer chasing)."""
-        root = self._node(node_id)
+        """Rebuild the subtree from its document-order walk with an
+        explicit level stack."""
+        nodes = self._preorder(self._node(node_id))
+        root = next(nodes)
         out = Tree(root.value)
         stack: List[Tuple[int, Tree]] = [(root.level, out)]
-        self.access_counts["range_scan"] += 1
-        for nid in self._pre_index.range(
-            (root.pre,), (root.post,), include_low=False, include_high=False
-        ):
-            node = self._nodes[nid]
+        for node in nodes:
             while stack[-1][0] >= node.level:
                 stack.pop()
             tree = Tree(node.value)
@@ -317,33 +219,18 @@ class XMLDatabase:
         return self._byte_size
 
     def iter_paths(self) -> Iterator[Tuple[Path, Value]]:
-        """All (path, value) pairs in document order — one full
-        ``(pre,)`` index scan with an iterative prefix stack, so
-        arbitrarily deep trees cannot exhaust the recursion limit."""
-        self.access_counts["range_scan"] += 1
-        prefixes: List[Path] = [Path()]
-        for nid in self._pre_index.range(None, None):
-            node = self._nodes[nid]
-            if node.level == 0:
-                yield Path(), node.value
-                continue
-            del prefixes[node.level:]
-            path = prefixes[node.level - 1].child(node.label)
-            prefixes.append(path)
-            yield path, node.value
+        """All (path, value) pairs in document order."""
+        return self.iter_paths_under(Path())
 
     def iter_paths_under(self, path: "Path | str") -> Iterator[Tuple[Path, Value]]:
         """(path, value) pairs for the node at ``path`` and everything
-        below it, in document order (one interval range scan)."""
+        below it, in document order, with an iterative prefix stack."""
         base = Path.of(path)
-        root = self._node(self.resolve(base))
+        nodes = self._preorder(self._node(self.resolve(base)))
+        root = next(nodes)
         yield base, root.value
-        self.access_counts["range_scan"] += 1
         prefixes: List[Path] = [base]
-        for nid in self._pre_index.range(
-            (root.pre,), (root.post,), include_low=False, include_high=False
-        ):
-            node = self._nodes[nid]
+        for node in nodes:
             depth = node.level - root.level
             del prefixes[depth:]
             sub = prefixes[depth - 1].child(node.label)
@@ -351,11 +238,12 @@ class XMLDatabase:
             yield sub, node.value
 
     # ------------------------------------------------------------------
-    # Axis primitives (document-order node ids via the encoding).  These
-    # are the building blocks :mod:`repro.xmldb.axes` compiles XPath
-    # steps onto; each is an index range scan, never a tree walk.
+    # Axis primitives (document-order node ids).  These are the building
+    # blocks :mod:`repro.xmldb.axes` compiles XPath steps onto; the
+    # interval ones are index range scans, never tree walks.
     # ------------------------------------------------------------------
     def interval(self, node_id: NodeId) -> Tuple[int, int]:
+        self._encoding()
         node = self._node(node_id)
         return node.pre, node.post
 
@@ -369,27 +257,24 @@ class XMLDatabase:
         return self._node(node_id).value
 
     def parent_id(self, node_id: NodeId) -> Optional[NodeId]:
-        node = self._node(node_id)
-        if node.level == 0:
-            return None
-        return self._parent_node(node).node_id
+        return self._node(node_id).parent
 
     def descendant_ids(self, node_id: NodeId, or_self: bool = False) -> List[NodeId]:
+        pre_index = self._encoding().pre
         node = self._node(node_id)
         self.access_counts["range_scan"] += 1
         out = [node_id] if or_self else []
         out.extend(
-            self._pre_index.range(
-                (node.pre,), (node.post,), include_low=False, include_high=False
-            )
+            pre_index.range((node.pre,), (node.post,), include_low=False, include_high=False)
         )
         return out
 
     def child_ids(self, node_id: NodeId) -> List[NodeId]:
+        level_index = self._encoding().level
         node = self._node(node_id)
         self.access_counts["range_scan"] += 1
         return list(
-            self._level_index.range(
+            level_index.range(
                 (node.level + 1, node.pre),
                 (node.level + 1, node.post),
                 include_low=False,
@@ -398,23 +283,23 @@ class XMLDatabase:
         )
 
     def ancestor_ids(self, node_id: NodeId, or_self: bool = False) -> List[NodeId]:
-        """Ancestors nearest-first (root last), via the level-predecessor
-        staircase."""
+        """Ancestors nearest-first (root last), via parent pointers."""
         node = self._node(node_id)
         out = [node_id] if or_self else []
-        while node.level > 0:
-            node = self._parent_node(node)
-            out.append(node.node_id)
+        while node.parent is not None:
+            out.append(node.parent)
+            node = self._nodes[node.parent]
         return out
 
     def following_sibling_ids(self, node_id: NodeId) -> List[NodeId]:
+        level_index = self._encoding().level
         node = self._node(node_id)
-        if node.level == 0:
+        if node.parent is None:
             return []
-        parent = self._parent_node(node)
+        parent = self._nodes[node.parent]
         self.access_counts["range_scan"] += 1
         return list(
-            self._level_index.range(
+            level_index.range(
                 (node.level, node.post),
                 (node.level, parent.post),
                 include_low=False,
@@ -423,13 +308,14 @@ class XMLDatabase:
         )
 
     def preceding_sibling_ids(self, node_id: NodeId) -> List[NodeId]:
+        level_index = self._encoding().level
         node = self._node(node_id)
-        if node.level == 0:
+        if node.parent is None:
             return []
-        parent = self._parent_node(node)
+        parent = self._nodes[node.parent]
         self.access_counts["range_scan"] += 1
         return list(
-            self._level_index.range(
+            level_index.range(
                 (node.level, parent.pre),
                 (node.level, node.pre),
                 include_low=False,
@@ -439,152 +325,75 @@ class XMLDatabase:
 
     def following_ids(self, node_id: NodeId) -> List[NodeId]:
         """Document-order successors outside the subtree: ``pre > post``."""
+        pre_index = self._encoding().pre
         node = self._node(node_id)
         self.access_counts["range_scan"] += 1
-        return list(self._pre_index.range((node.post,), None, include_low=False))
+        return list(pre_index.range((node.post,), None, include_low=False))
 
     def preceding_ids(self, node_id: NodeId) -> List[NodeId]:
         """Document-order predecessors that are not ancestors:
         ``pre < self.pre`` with the (few) open intervals filtered out."""
+        pre_index = self._encoding().pre
         node = self._node(node_id)
         self.access_counts["range_scan"] += 1
-        out = []
-        for nid in self._pre_index.range(None, (node.pre,), include_high=False):
-            if self._nodes[nid].post < node.pre:
-                out.append(nid)
-        return out
+        return [
+            nid
+            for nid in pre_index.range(None, (node.pre,), include_high=False)
+            if self._nodes[nid].post < node.pre
+        ]
 
     # ------------------------------------------------------------------
-    # Encoding maintenance
+    # The derived encoding
     # ------------------------------------------------------------------
-    def _index_add(self, node: _Node) -> None:
-        self._pre_index.insert((node.pre,), node.node_id)
-        self._level_index.insert((node.level, node.pre), node.node_id)
-        if node.parent is not None:
-            self._label_index.insert((base_label(node.label), node.pre), node.node_id)
-
-    def _index_remove(self, node: _Node) -> None:
-        self._pre_index.delete((node.pre,), node.node_id)
-        self._level_index.delete((node.level, node.pre), node.node_id)
-        if node.parent is not None:
-            self._label_index.delete((base_label(node.label), node.pre), node.node_id)
-
-    def _sibling_bounds(self, parent: _Node, label: str) -> Tuple[int, int, str]:
-        """The open rank gap ``(lo, hi)`` a new child labelled ``label``
-        must be allocated into, plus the placement bias: appends hug the
-        low end (leaving headroom for more appends), prepends the high
-        end, interior/first inserts center."""
-        left: Optional[str] = None
-        right: Optional[str] = None
-        for sibling in parent.children:
-            if sibling < label:
-                if left is None or sibling > left:
-                    left = sibling
-            elif right is None or sibling < right:
-                right = sibling
-        lo = self._nodes[parent.children[left]].post if left is not None else parent.pre
-        hi = self._nodes[parent.children[right]].pre if right is not None else parent.post
-        if right is None and left is not None:
-            bias = "low"
-        elif left is None and right is not None:
-            bias = "high"
-        else:
-            bias = "center"
-        return lo, hi, bias
-
-    @staticmethod
-    def _alloc(lo: int, hi: int, count: int, bias: str) -> Optional[List[int]]:
-        """``count`` fresh ranks strictly inside ``(lo, hi)``, or ``None``
-        when the gap is exhausted (renumber trigger)."""
-        space = hi - lo - 1
-        if space < count:
-            return None
-        stride = min(space // (count + 1), _APPEND_STRIDE)
-        if stride == 0:
-            stride = 1
-        run = stride * (count + 1)
-        if bias == "low":
-            start = lo
-        elif bias == "high":
-            start = hi - run
-        else:
-            start = lo + (hi - lo - run) // 2
-        return [start + stride * (i + 1) for i in range(count)]
-
-    def _alloc_span(self, parent: _Node, label: str, count: int) -> List[int]:
-        lo, hi, bias = self._sibling_bounds(parent, label)
-        slots = self._alloc(lo, hi, count, bias)
-        if slots is None:
-            self._renumber(min_slots=count)
-            lo, hi, bias = self._sibling_bounds(parent, label)
-            slots = self._alloc(lo, hi, count, bias)
-            assert slots is not None, "renumber must open a large-enough gap"
-        return slots
-
-    def _renumber(self, min_slots: int = 0) -> None:
-        """Reassign every rank with fresh gaps (one iterative DFS in
-        document order), rebuild the three encoding indexes via
-        ``bulk_build``, and bump :attr:`structure_version`."""
-        spacing = max(self._spacing, min_slots + 2)
-        root = self._nodes[self.ROOT_ID]
-        value = 0
-        root.pre, root.level = 0, 0
-        stack: List[Tuple[_Node, Iterator[str]]] = [(root, iter(sorted(root.children)))]
-        while stack:
-            node, labels = stack[-1]
-            advanced = False
-            for label in labels:
-                child = self._nodes[node.children[label]]
-                value += spacing
-                child.pre = value
-                child.level = node.level + 1
-                stack.append((child, iter(sorted(child.children))))
-                advanced = True
-                break
-            if not advanced:
-                value += spacing
-                node.post = value
-                stack.pop()
-        nodes = self._nodes.values()
-        self._pre_index = OrderedIndex.bulk_build(
-            self._pre_index.name, [((n.pre,), n.node_id) for n in nodes]
-        )
-        self._level_index = OrderedIndex.bulk_build(
-            self._level_index.name, [((n.level, n.pre), n.node_id) for n in nodes]
-        )
-        self._label_index = OrderedIndex.bulk_build(
-            self._label_index.name,
-            [
-                ((base_label(n.label), n.pre), n.node_id)
-                for n in nodes
-                if n.parent is not None
-            ],
-        )
-        self.structure_version += 1
-        self.access_counts["renumber"] += 1
+    def _encoding(self) -> _Encoding:
+        """The interval encoding, built first if an edit made it stale:
+        one document-order pass ranks every node (entry takes ``pre``,
+        exit takes ``post``), then the three indexes are bulk-built."""
+        if self._encoded is None:
+            rank = 0
+            open_nodes: List[_Node] = []
+            for node in self._preorder(self._nodes[self.ROOT_ID]):
+                while open_nodes and open_nodes[-1].level >= node.level:
+                    open_nodes.pop().post = rank
+                    rank += 1
+                node.pre = rank
+                rank += 1
+                open_nodes.append(node)
+            for node in reversed(open_nodes):
+                node.post = rank
+                rank += 1
+            nodes = self._nodes.values()
+            self._encoded = _Encoding(
+                OrderedIndex.bulk_build(
+                    f"{self.name}_pre", [((n.pre,), n.node_id) for n in nodes]
+                ),
+                OrderedIndex.bulk_build(
+                    f"{self.name}_label",
+                    [
+                        ((base_label(n.label), n.pre), n.node_id)
+                        for n in nodes
+                        if n.parent is not None
+                    ],
+                ),
+                OrderedIndex.bulk_build(
+                    f"{self.name}_level", [((n.level, n.pre), n.node_id) for n in nodes]
+                ),
+            )
+            self.access_counts["renumber"] += 1
+        return self._encoded
 
     # ------------------------------------------------------------------
     # Updates (the Figure 6 target contract)
     # ------------------------------------------------------------------
     def add_node(self, path: "Path | str", name: str, value: Value = None) -> NodeId:
-        parent_id = self.resolve(path)
-        parent = self._node(parent_id)
+        parent = self._node(self.resolve(path))
         if parent.value is not None:
             raise XMLDBError(f"{self.name}: cannot add a child under leaf {path}")
         if name in parent.children:
             raise XMLDBError(
                 f"{self.name}: node {Path.of(path).child(name)} already exists"
             )
-        pre, post = self._alloc_span(parent, name, 2)
-        node = _Node(self._next_id, parent_id, name, value)
-        node.pre, node.post, node.level = pre, post, parent.level + 1
-        self._next_id += 1
-        self._nodes[node.node_id] = node
-        parent.children[name] = node.node_id
-        self._byte_size += node.record_bytes()
-        self._index_add(node)
-        self._notify_added(node.node_id, name)
-        return node.node_id
+        return self._attach(parent, name, value).node_id
 
     def delete_node(self, path: "Path | str") -> Tree:
         path = Path.of(path)
@@ -592,36 +401,8 @@ class XMLDatabase:
             raise XMLDBError(f"{self.name}: cannot delete the root")
         node_id = self.resolve(path)
         removed = self._export(node_id)
-        node = self._nodes[node_id]
-        parent = self._nodes[self._node_parent(node_id)]
-        self._free_subtree(node)
-        del parent.children[path.last]
+        self._free_subtree(self._nodes[node_id])
         return removed
-
-    def _node_parent(self, node_id: NodeId) -> NodeId:
-        parent = self._node(node_id).parent
-        if parent is None:
-            raise XMLDBError(f"{self.name}: node {node_id} has no parent")
-        return parent
-
-    def _free_subtree(self, node: _Node) -> None:
-        """Drop a node and all descendants: one interval scan collects
-        the doomed ids, then each node (children before parents) is
-        unindexed, unaccounted, deleted, and — crucially for observer
-        consistency — individually announced via ``_notify_removed``."""
-        self.access_counts["range_scan"] += 1
-        doomed = [node.node_id]
-        doomed.extend(
-            self._pre_index.range(
-                (node.pre,), (node.post,), include_low=False, include_high=False
-            )
-        )
-        for nid in reversed(doomed):
-            dead = self._nodes[nid]
-            self._index_remove(dead)
-            self._byte_size -= dead.record_bytes()
-            del self._nodes[nid]
-            self._notify_removed(nid, dead.label)
 
     def paste_node(self, path: "Path | str", subtree: Tree) -> Optional[Tree]:
         """Install ``subtree`` at ``path`` (parent must exist), replacing
@@ -629,8 +410,7 @@ class XMLDatabase:
         path = Path.of(path)
         if path.is_root:
             raise XMLDBError(f"{self.name}: cannot paste over the root")
-        parent_id = self.resolve(path.parent)
-        parent = self._node(parent_id)
+        parent = self._node(self.resolve(path.parent))
         if parent.value is not None:
             raise XMLDBError(f"{self.name}: paste parent {path.parent} is a leaf")
         overwritten: Optional[Tree] = None
@@ -638,74 +418,68 @@ class XMLDatabase:
         if existing is not None:
             overwritten = self._export(existing)
             self._free_subtree(self._nodes[existing])
-            del parent.children[path.last]
-        self._import(parent_id, path.last, subtree)
+        self._import(parent, path.last, subtree)
         return overwritten
 
-    def _import(self, parent_id: NodeId, label: str, subtree: Tree) -> NodeId:
-        """Graft a value tree: ranks for the whole subtree are allocated
-        up front (2 per node, renumbering once if the gap is too small),
-        then consumed by an iterative DFS — entry takes ``pre``, exit
-        takes ``post`` — which yields properly nested intervals."""
-        parent = self._node(parent_id)
-        slots = iter(self._alloc_span(parent, label, 2 * _tree_size(subtree)))
+    def _attach(self, parent: _Node, label: str, value: Value) -> _Node:
+        """Create one node under ``parent``; the encoding goes stale."""
+        node = _Node(self._next_id, parent.node_id, label, value, parent.level + 1)
+        self._next_id += 1
+        self._nodes[node.node_id] = node
+        parent.children[label] = node.node_id
+        self._byte_size += node.record_bytes()
+        self._encoded = None
+        return node
 
-        def make(under: _Node, name: str, tree: Tree) -> _Node:
-            node = _Node(self._next_id, under.node_id, name, tree.value)
-            self._next_id += 1
-            node.level = under.level + 1
-            node.pre = next(slots)
-            self._nodes[node.node_id] = node
-            under.children[name] = node.node_id
-            self._byte_size += node.record_bytes()
-            self._index_add(node)
-            self._notify_added(node.node_id, name)
-            return node
+    def _free_subtree(self, node: _Node) -> None:
+        """Unlink a node from its parent and drop it with all its
+        descendants; the encoding goes stale."""
+        del self._nodes[node.parent].children[node.label]
+        for dead in list(self._preorder(node)):
+            self._byte_size -= dead.record_bytes()
+            del self._nodes[dead.node_id]
+        self._encoded = None
 
-        top = make(parent, label, subtree)
-        stack: List[Tuple[_Node, Tree, Iterator[str]]] = [
-            (top, subtree, iter(sorted(subtree.children)))
-        ]
+    def _import(self, parent: _Node, label: str, subtree: Tree) -> None:
+        """Graft a value tree, allocating node ids in document order."""
+        stack: List[Tuple[_Node, str, Tree]] = [(parent, label, subtree)]
         while stack:
-            node, tree, labels = stack[-1]
-            advanced = False
-            for child_label in labels:
-                child_tree = tree.children[child_label]
-                child = make(node, child_label, child_tree)
-                stack.append((child, child_tree, iter(sorted(child_tree.children))))
-                advanced = True
-                break
-            if not advanced:
-                node.post = next(slots)
-                stack.pop()
-        return top.node_id
+            under, name, tree = stack.pop()
+            node = self._attach(under, name, tree.value)
+            stack.extend(
+                (node, child, tree.children[child])
+                for child in sorted(tree.children, reverse=True)
+            )
 
     # ------------------------------------------------------------------
     def load_tree(self, tree: Tree) -> None:
         """Bulk-load a value tree under the root (initial population)."""
+        root = self._nodes[self.ROOT_ID]
         for label in sorted(tree.children):
-            if self._nodes[self.ROOT_ID].children.get(label) is not None:
+            if label in root.children:
                 raise XMLDBError(f"{self.name}: root already has child {label!r}")
-            self._import(self.ROOT_ID, label, tree.children[label])
+            self._import(root, label, tree.children[label])
 
     # ------------------------------------------------------------------
     # Invariant checking (tests / debugging)
     # ------------------------------------------------------------------
     def check_encoding(self) -> None:
-        """Validate the interval invariants and index consistency; raises
-        :class:`XMLDBError` on the first violation."""
+        """Validate the interval invariants and index consistency against
+        the pointer structure; raises :class:`XMLDBError` on the first
+        violation."""
 
         def fail(message: str) -> None:
             raise XMLDBError(f"{self.name}: encoding invariant violated: {message}")
 
+        encoding = self._encoding()
         count = len(self._nodes)
-        if len(self._pre_index) != count:
-            fail(f"(pre,) index has {len(self._pre_index)} entries for {count} nodes")
-        if len(self._level_index) != count:
-            fail(f"(level, pre) index has {len(self._level_index)} entries for {count} nodes")
-        if len(self._label_index) != count - 1:
+        if len(encoding.pre) != count:
+            fail(f"(pre,) index has {len(encoding.pre)} entries for {count} nodes")
+        if len(encoding.level) != count:
+            fail(f"(level, pre) index has {len(encoding.level)} entries for {count} nodes")
+        if len(encoding.label) != count - 1:
             fail(
-                f"(label, pre) index has {len(self._label_index)} entries "
+                f"(label, pre) index has {len(encoding.label)} entries "
                 f"for {count - 1} labelled nodes"
             )
         for node in self._nodes.values():
@@ -722,7 +496,7 @@ class XMLDatabase:
                     )
                 if node.level != parent.level + 1:
                     fail(f"node {node.node_id} level {node.level} under level {parent.level}")
-                if self._label_index.lookup((base_label(node.label), node.pre)) != {node.node_id}:
+                if encoding.label.lookup((base_label(node.label), node.pre)) != {node.node_id}:
                     fail(f"(label, pre) entry missing/stale for node {node.node_id}")
             ordered = sorted(node.children)
             for left, right in zip(ordered, ordered[1:]):
@@ -733,18 +507,7 @@ class XMLDatabase:
                         f"siblings {left!r}/{right!r} under {node.node_id} overlap: "
                         f"({a.pre}, {a.post}) vs ({b.pre}, {b.post})"
                     )
-            if self._pre_index.lookup((node.pre,)) != {node.node_id}:
+            if encoding.pre.lookup((node.pre,)) != {node.node_id}:
                 fail(f"(pre,) entry missing/stale for node {node.node_id}")
-            if self._level_index.lookup((node.level, node.pre)) != {node.node_id}:
+            if encoding.level.lookup((node.level, node.pre)) != {node.node_id}:
                 fail(f"(level, pre) entry missing/stale for node {node.node_id}")
-
-
-def _tree_size(tree: Tree) -> int:
-    """Node count of a value tree (iterative)."""
-    count = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        count += 1
-        stack.extend(node.children.values())
-    return count

@@ -4,15 +4,13 @@ The central differential property: every axis answered off the ``(pre,
 post, level)`` encoding — by :func:`repro.xmldb.axes.axis_ids` and the
 XPath evaluator built on it — must agree *exactly* (same ids, same
 document order) with a naive oracle that walks the store's pointer
-structure.  The pointer structure is maintained independently of the
-encoding indexes, so a drift between the two is exactly the class of
-bug this harness hunts.
+structure.  Edits maintain only the pointer structure; the encoding is
+derived from it on the first read after a write, so a read that sees a
+stale encoding is exactly the class of bug this harness hunts.
 
-Deterministic regressions pin the mechanics around the property: gap
-exhaustion triggering renumbers (and ``structure_version`` bumps),
-arbitrarily deep chains staying iterative, and ``delete_node``
-notifying observers for *every* removed descendant so secondary
-structures can never desynchronize.
+Deterministic regressions pin the mechanics around the property: edits
+never build the encoding, the first axis read after each kind of write
+builds it exactly once, and arbitrarily deep chains stay iterative.
 """
 
 from __future__ import annotations
@@ -26,8 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.paths import Path
 from repro.core.tree import Tree
-from repro.xmldb.axes import AXES, axis_ids, evaluate_xpath
-from repro.xmldb.index import ElementIndex
+from repro.xmldb.axes import AXES, axis_ids, descendants_by_label
 from repro.xmldb.store import XMLDatabase, XMLDBError
 from repro.xmldb.xpath import XPath, base_label
 
@@ -208,13 +205,16 @@ class TestAxisDifferential:
         **_PROFILE,
     )
     def test_mutation_churn_keeps_encoding_valid(self, tree: Tree, data) -> None:
-        """Random add/delete/paste churn against a tiny-spacing store
-        (so renumbers fire constantly): the encoding invariants hold
-        after every step, document order stays sorted-path order, and a
-        random axis still matches the oracle at the end."""
-        db = XMLDatabase(spacing=4)
+        """Random add/delete/paste churn with an axis read between
+        writes: every read matches the oracle (no stale encoding), the
+        encoding invariants hold after every step, and document order
+        stays sorted-path order."""
+        db = XMLDatabase()
         db.load_tree(tree)
         for _ in range(data.draw(st.integers(1, 6))):
+            nid = data.draw(st.sampled_from(sorted(db._nodes)))
+            axis = data.draw(st.sampled_from(AXES))
+            assert axis_ids(db, nid, axis) == _oracle_axis(db, nid, axis, None)
             op = data.draw(st.sampled_from(["add", "delete", "paste"]))
             listing = [
                 (path, value) for path, value in db.iter_paths() if not path.is_root
@@ -275,12 +275,11 @@ class TestDeepChains:
         assert db.level_of(nid) == self.DEPTH
         assert db.value_of(nid) == 7
         db.subtree(Path())  # must not raise RecursionError
-        assert len(db.ancestor_ids(nid)) == self.DEPTH  # staircase probes
+        assert len(db.ancestor_ids(nid)) == self.DEPTH
         db.check_encoding()
 
     def test_deep_chain_delete_and_renumber(self):
         db, _deepest = _chain_db(self.DEPTH)
-        assert db.access_counts["renumber"] > 0  # chains exhaust gaps
         db.delete_node(Path.parse("a"))
         assert db.node_count() == 1
         assert [p for p, _v in db.iter_paths() if not p.is_root] == []
@@ -288,27 +287,39 @@ class TestDeepChains:
 
 
 class TestRenumbering:
-    def test_gap_exhaustion_triggers_renumber(self):
-        db = XMLDatabase(spacing=4)
-        db.load_tree(Tree.from_dict({"hub": {}}))
-        version = db.structure_version
-        for index in range(60):
-            db.add_node("hub", f"n{index:03d}", index)
-        assert db.access_counts["renumber"] > 0
-        assert db.structure_version > version
-        db.check_encoding()
-        hub = db.resolve("hub")
-        children = db.child_ids(hub)
-        assert len(children) == 60
-        # document order survives every renumber: children come back in
-        # sorted-label order, which is their pre order
-        assert [db.label_of(nid) for nid in children] == [
-            f"n{index:03d}" for index in range(60)
-        ]
+    """The encoding is derived state: edits never build it, and the
+    first axis read after any write rebuilds it exactly once."""
 
-    def test_spacing_floor_enforced(self):
-        with pytest.raises(XMLDBError):
-            XMLDatabase(spacing=3)
+    WRITES = {
+        "add": lambda db: db.add_node("top/a", "w", 4),
+        "delete": lambda db: db.delete_node("top/b"),
+        "paste-overwrite": lambda db: db.paste_node(
+            "spot", Tree.from_dict({"new": {"leaf": 2}})
+        ),
+    }
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_reads_after_each_write_kind_match_oracle(self, write):
+        db = XMLDatabase()
+        db.load_tree(Tree.from_dict({
+            "top": {"a": {"x": 1, "y": 2}, "b": {"z": {"deep": 3}}},
+            "spot": {"old": 1},
+            "other": 9,
+        }))
+
+        def read_every_axis():
+            for nid in sorted(db._nodes):
+                for axis in AXES:
+                    assert axis_ids(db, nid, axis) == _oracle_axis(db, nid, axis, None)
+
+        read_every_axis()  # the encoding is built and current
+        builds = db.access_counts["renumber"]
+        self.WRITES[write](db)
+        assert db.access_counts["renumber"] == builds  # edits never build
+        read_every_axis()
+        assert db.access_counts["renumber"] == builds + 1
+        read_every_axis()
+        assert db.access_counts["renumber"] == builds + 1
 
     def test_check_encoding_detects_corruption(self):
         db = XMLDatabase()
@@ -320,46 +331,8 @@ class TestRenumbering:
             db.check_encoding()
 
 
-class _RecordingObserver:
-    def __init__(self) -> None:
-        self.added: List[tuple] = []
-        self.removed: List[tuple] = []
-
-    def node_added(self, node_id: int, label: str) -> None:
-        self.added.append((node_id, label))
-
-    def node_removed(self, node_id: int, label: str) -> None:
-        self.removed.append((node_id, label))
-
-
 class TestDeleteNotifications:
-    """``delete_node`` must notify observers for *every* removed node —
-    the whole doomed subtree, children before parents — or secondary
-    structures drift (the PR 9 desync audit)."""
-
-    def test_every_descendant_notified_exactly_once(self):
-        db = XMLDatabase()
-        db.load_tree(Tree.from_dict({
-            "top": {"a": {"x": 1, "y": 2}, "b": {"z": {"deep": 3}}},
-            "other": 9,
-        }))
-        observer = _RecordingObserver()
-        db.add_observer(observer)
-        doomed_root = db.resolve("top")
-        doomed = {doomed_root} | set(db.descendant_ids(doomed_root))
-        parent_of = {nid: db._nodes[nid].parent for nid in doomed}
-        db.delete_node("top")
-        removed_ids = [nid for nid, _label in observer.removed]
-        assert sorted(removed_ids) == sorted(doomed)
-        assert len(removed_ids) == len(set(removed_ids))  # exactly once
-        # children strictly before parents, so observers can tear down
-        # bottom-up without ever seeing a dangling child
-        position = {nid: index for index, nid in enumerate(removed_ids)}
-        for nid in removed_ids:
-            parent = parent_of[nid]
-            if parent in position:
-                assert position[nid] < position[parent]
-        assert removed_ids[-1] == doomed_root
+    """A delete leaves no stale entry behind in the derived label index."""
 
     def test_no_stale_index_entries_after_delete(self):
         db = XMLDatabase()
@@ -367,22 +340,8 @@ class TestDeleteNotifications:
             "top": {"a": {"x": 1}, "b": {"x": 2}},
             "keep": {"x": 3},
         }))
-        index = ElementIndex(db)
-        assert index.count("x") == 3
+        assert len(descendants_by_label(db, [db.ROOT_ID], "x")) == 3
         db.delete_node("top")
-        assert index.count("x") == 1
-        assert index.lookup("x") == {db.resolve("keep/x")}
-        assert evaluate_xpath(db, XPath("//x")) == [Path.parse("keep/x")]
-        db.check_encoding()
-
-    def test_paste_overwrite_notifies_removal_then_addition(self):
-        db = XMLDatabase()
-        db.load_tree(Tree.from_dict({"spot": {"old": 1}}))
-        observer = _RecordingObserver()
-        db.add_observer(observer)
-        db.paste_node("spot", Tree.from_dict({"new": {"leaf": 2}}))
-        removed_labels = sorted(label for _nid, label in observer.removed)
-        added_labels = sorted(label for _nid, label in observer.added)
-        assert removed_labels == ["old", "spot"]
-        assert added_labels == ["leaf", "new", "spot"]
+        assert descendants_by_label(db, [db.ROOT_ID], "x") == [db.resolve("keep/x")]
+        assert XPath("//x").evaluate_store(db) == [Path.parse("keep/x")]
         db.check_encoding()

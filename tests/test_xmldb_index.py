@@ -1,12 +1,13 @@
-"""Tests for the element-label index and indexed XPath evaluation."""
+"""Tests for element-label lookups over the store's ``(base_label, pre)``
+index and XPath evaluation against the store."""
 
 import pytest
 
 from repro.core.paths import Path
 from repro.core.tree import Tree
-from repro.xmldb.index import ElementIndex, base_label, evaluate_indexed
+from repro.xmldb.axes import descendants_by_label
 from repro.xmldb.store import XMLDatabase
-from repro.xmldb.xpath import XPath
+from repro.xmldb.xpath import XPath, base_label
 
 
 def make_store():
@@ -29,6 +30,10 @@ def make_store():
     return db
 
 
+def count(db: XMLDatabase, label: str) -> int:
+    return len(descendants_by_label(db, [db.ROOT_ID], label))
+
+
 class TestBaseLabel:
     def test_keyed_and_plain(self):
         assert base_label("interaction{3}") == "interaction"
@@ -40,43 +45,42 @@ class TestBaseLabel:
 class TestElementIndex:
     def test_initial_build(self):
         db = make_store()
-        index = ElementIndex(db)
-        assert index.count("molecule") == 2
-        assert index.count("interaction") == 3
-        assert index.count("name") == 2
-        assert index.count("nothing") == 0
-        assert "interactions" in index.labels()
+        assert count(db, "molecule") == 2
+        assert count(db, "interaction") == 3
+        assert count(db, "name") == 2
+        assert count(db, "nothing") == 0
+        assert count(db, "interactions") == 2
 
     def test_incremental_add(self):
         db = make_store()
-        index = ElementIndex(db)
+        assert count(db, "organism") == 0  # builds the index before the edit
         db.add_node("molecules/molecule{M1}", "organism", "H.sapiens")
-        assert index.count("organism") == 1
+        assert count(db, "organism") == 1
         db.paste_node(
             "molecules/molecule{M2}/interactions/interaction{2}",
             Tree.from_dict({"partner": "M9"}),
         )
-        assert index.count("interaction") == 4
+        assert count(db, "interaction") == 4
 
     def test_incremental_delete_frees_subtree(self):
         db = make_store()
-        index = ElementIndex(db)
+        assert count(db, "interaction") == 3
         db.delete_node("molecules/molecule{M1}")
-        assert index.count("molecule") == 1
-        assert index.count("interaction") == 1  # M1's two are gone
-        assert index.count("name") == 1
+        assert count(db, "molecule") == 1
+        assert count(db, "interaction") == 1  # M1's two are gone
+        assert count(db, "name") == 1
 
     def test_overwrite_replaces_entries(self):
         db = make_store()
-        index = ElementIndex(db)
+        assert count(db, "interaction") == 3
         db.paste_node("molecules/molecule{M1}", Tree.from_dict({"name": "X"}))
-        assert index.count("molecule") == 2
-        assert index.count("interaction") == 1  # only M2's survived
+        assert count(db, "molecule") == 2
+        assert count(db, "interaction") == 1  # only M2's survived
 
     def test_lookup_ids_resolve_to_paths(self):
         db = make_store()
-        index = ElementIndex(db)
-        paths = {str(db.path_of(node_id)) for node_id in index.lookup("name")}
+        found = descendants_by_label(db, [db.ROOT_ID], "name")
+        paths = {str(db.path_of(node_id)) for node_id in found}
         assert paths == {
             "molecules/molecule{M1}/name",
             "molecules/molecule{M2}/name",
@@ -93,23 +97,20 @@ class TestIndexedXPath:
     ])
     def test_agrees_with_tree_evaluation(self, expression):
         db = make_store()
-        index = ElementIndex(db)
         expected = XPath(expression).evaluate(db.subtree(Path()))
-        assert evaluate_indexed(db, index, expression) == expected
+        assert XPath(expression).evaluate_store(db) == expected
 
     def test_keyed_instances_found(self):
         """Non-vacuous check: //interaction really finds the keyed edges
         interaction{1..}, per the paper's Citation{3} addressing."""
         db = make_store()
-        index = ElementIndex(db)
-        found = evaluate_indexed(db, index, "//interaction")
+        found = XPath("//interaction").evaluate_store(db)
         assert len(found) == 3
         assert all("interaction{" in str(path) for path in found)
 
     def test_agrees_after_updates(self):
         db = make_store()
-        index = ElementIndex(db)
         db.delete_node("molecules/molecule{M1}/interactions/interaction{1}")
         db.add_node("molecules/molecule{M2}/interactions", "interaction{7}")
         expected = XPath("//interaction").evaluate(db.subtree(Path()))
-        assert evaluate_indexed(db, index, "//interaction") == expected
+        assert XPath("//interaction").evaluate_store(db) == expected
