@@ -83,7 +83,9 @@ except ImportError:
 PREFERRED_ALG = ALG_CRC32C if _HAVE_NATIVE_CRC32C else ALG_CRC32
 
 _FUNCTIONS: "dict[int, Callable[[bytes, int], int]]" = {
-    ALG_CRC32: lambda data, value=0: zlib.crc32(data, value) & 0xFFFFFFFF,
+    # zlib.crc32 is already unsigned 32-bit on Python 3: register the
+    # C function itself, so a hot loop pays no Python-level wrapper call
+    ALG_CRC32: zlib.crc32,
     ALG_CRC32C: crc32c,
 }
 

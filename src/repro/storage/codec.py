@@ -1,4 +1,4 @@
-"""Binary row codec.
+"""Binary row codec, compiled once per table schema.
 
 Rows are encoded to a compact binary form both for persistence (heap file
 snapshots, WAL records) and for *byte-accurate storage accounting* — the
@@ -9,18 +9,30 @@ Encoding: a 4-byte little-endian row length, then one tagged value per
 column.  Tags: ``0`` null, ``1`` int (8-byte signed), ``2`` real (8-byte
 IEEE double), ``3`` text (4-byte length + UTF-8 bytes), ``4`` bool,
 ``5`` char (single byte, ASCII fast path with UTF-8 fallback as text).
+
+:class:`RowCodec` is the single place a row's validation, byte size,
+index keys and bytes come from.  Every :class:`~repro.storage.schema.TableSchema`
+builds one when it is constructed; ``Table`` mutations, the WAL's record
+payloads and snapshot rows all go through it.  Each operation is one loop
+over per-column facts worked out at construction, with no helper call per
+value.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Sequence, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Dict, Sequence, Tuple
 
-from .errors import WALError
-from .schema import TableSchema
-from .types import ColumnType
+from .errors import SchemaError, UnknownColumnError, WALError
+from .types import ColumnType, coerce_value
 
-__all__ = ["encode_row", "decode_row", "encode_values", "decode_values"]
+if TYPE_CHECKING:  # pragma: no cover - the schema builds the codec
+    from .schema import TableSchema
+
+__all__ = ["RowCodec"]
+
+Row = Tuple[Any, ...]
 
 _TAG_NULL = 0
 _TAG_INT = 1
@@ -29,89 +41,206 @@ _TAG_TEXT = 3
 _TAG_BOOL = 4
 _TAG_CHAR = 5
 
+#: column type -> (its value tag, the one Python type it stores without
+#: coercion; ``bool`` is not ``int`` here, as ``type(True) is bool``)
+_COLUMN_TYPES = {
+    ColumnType.INT: (_TAG_INT, int),
+    ColumnType.REAL: (_TAG_REAL, float),
+    ColumnType.TEXT: (_TAG_TEXT, str),
+    ColumnType.BOOL: (_TAG_BOOL, bool),
+    ColumnType.CHAR: (_TAG_CHAR, str),
+}
 
-def _encode_value(column_type: ColumnType, value: Any, out: List[bytes]) -> None:
-    if value is None:
-        out.append(bytes([_TAG_NULL]))
-        return
-    if column_type is ColumnType.INT:
-        out.append(bytes([_TAG_INT]) + struct.pack("<q", value))
-    elif column_type is ColumnType.REAL:
-        out.append(bytes([_TAG_REAL]) + struct.pack("<d", float(value)))
-    elif column_type is ColumnType.BOOL:
-        out.append(bytes([_TAG_BOOL, 1 if value else 0]))
-    elif column_type is ColumnType.CHAR:
-        raw = value.encode("utf-8")
-        if len(raw) == 1:
-            out.append(bytes([_TAG_CHAR]) + raw)
-        else:  # non-ASCII char: fall back to text encoding
-            out.append(bytes([_TAG_TEXT]) + struct.pack("<I", len(raw)) + raw)
-    else:  # TEXT
-        raw = value.encode("utf-8")
-        out.append(bytes([_TAG_TEXT]) + struct.pack("<I", len(raw)) + raw)
-
-
-def encode_values(schema: TableSchema, row: Sequence[Any]) -> bytes:
-    """Encode the value part of a row (no length prefix)."""
-    parts: List[bytes] = []
-    for column, value in zip(schema.columns, row):
-        _encode_value(column.type, value, parts)
-    return b"".join(parts)
+_U32 = struct.Struct("<I")
+_INT = struct.Struct("<q")
+_REAL = struct.Struct("<d")
+_TAGGED_INT = struct.Struct("<Bq")
+_TAGGED_REAL = struct.Struct("<Bd")
+_TAGGED_LENGTH = struct.Struct("<BI")
+_NULL_BYTES = bytes([_TAG_NULL])
+_CHAR_TAG_BYTES = bytes([_TAG_CHAR])
+_BOOL_BYTES = (bytes([_TAG_BOOL, 0]), bytes([_TAG_BOOL, 1]))
 
 
-def encode_row(schema: TableSchema, row: Sequence[Any]) -> bytes:
-    """Encode a full row with its length prefix."""
-    body = encode_values(schema, row)
-    return struct.pack("<I", len(body)) + body
+class RowCodec:
+    """One table's row path: normalize, size, key, encode and decode.
 
-
-def _decode_value(data: bytes, offset: int) -> Tuple[Any, int]:
-    tag = data[offset]
-    offset += 1
-    if tag == _TAG_NULL:
-        return None, offset
-    if tag == _TAG_INT:
-        (value,) = struct.unpack_from("<q", data, offset)
-        return value, offset + 8
-    if tag == _TAG_REAL:
-        (value,) = struct.unpack_from("<d", data, offset)
-        return value, offset + 8
-    if tag == _TAG_BOOL:
-        return bool(data[offset]), offset + 1
-    if tag == _TAG_CHAR:
-        return chr(data[offset]), offset + 1
-    if tag == _TAG_TEXT:
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        raw = data[offset : offset + length]
-        if len(raw) != length:
-            raise WALError("truncated text value")
-        return raw.decode("utf-8"), offset + length
-    raise WALError(f"unknown value tag {tag}")
-
-
-def decode_values(schema: TableSchema, data: bytes) -> Tuple[Any, ...]:
-    """Decode the value part of a row."""
-    values = []
-    offset = 0
-    for _column in schema.columns:
-        value, offset = _decode_value(data, offset)
-        values.append(value)
-    if offset != len(data):
-        raise WALError(f"trailing bytes in encoded row ({len(data) - offset})")
-    return tuple(values)
-
-
-def decode_row(schema: TableSchema, data: bytes, offset: int = 0) -> Tuple[Tuple[Any, ...], int]:
-    """Decode a length-prefixed row starting at ``offset``.
-
-    Returns ``(row, next_offset)``.
+    ``normalize`` passes a row through untouched when every value already
+    has its column's exact type (``type(v) is int`` for INT, and so on;
+    NULL where the column is nullable with no default; one character for
+    CHAR).  Any other row — a coercion, a default, a NOT NULL violation,
+    a type error — takes the column-by-column :func:`coerce_value` chain,
+    so results and error messages are those of that chain.
     """
-    if offset + 4 > len(data):
-        raise WALError("truncated row length prefix")
-    (length,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    body = data[offset : offset + length]
-    if len(body) != length:
-        raise WALError("truncated row body")
-    return decode_values(schema, body), offset + length
+
+    def __init__(self, schema: "TableSchema") -> None:
+        self._table = schema.name
+        self._columns = schema.columns
+        self._positions: Dict[str, int] = schema._positions
+        self._column_index = schema.column_index
+        self._tags = tuple(_COLUMN_TYPES[column.type][0] for column in schema.columns)
+        #: per column, the value types ``normalize`` passes through as
+        #: they are (NULL only where it stays NULL and is allowed)
+        self._accepted = tuple(
+            (_COLUMN_TYPES[column.type][1], type(None))
+            if column.nullable and column.default is None
+            else (_COLUMN_TYPES[column.type][1],)
+            for column in schema.columns
+        )
+        #: CHAR columns, whose strings must also be one character long
+        self._chars = tuple(
+            position
+            for position, column in enumerate(schema.columns)
+            if column.type is ColumnType.CHAR
+        )
+
+    # ------------------------------------------------------------------
+    def normalize(self, row: "Sequence[Any] | Dict[str, Any]") -> Row:
+        """Validate and coerce a row (tuple in column order, or a mapping).
+
+        Applies defaults and NOT NULL checks; raises on arity or type
+        mismatches.  Returns the canonical value tuple.
+        """
+        if isinstance(row, dict):
+            unknown = row.keys() - self._positions.keys()
+            if unknown:
+                raise UnknownColumnError(
+                    f"unknown column(s) {sorted(unknown)} for table {self._table!r}"
+                )
+            values = tuple(row.get(column.name, column.default) for column in self._columns)
+        else:
+            values = tuple(row)
+            if len(values) != len(self._columns):
+                raise SchemaError(
+                    f"table {self._table!r} expects {len(self._columns)} values, "
+                    f"got {len(values)}"
+                )
+        for value, accepted in zip(values, self._accepted):
+            if type(value) not in accepted:
+                return self._coerce(values)
+        for position in self._chars:
+            value = values[position]
+            if value is not None and len(value) != 1:
+                return self._coerce(values)
+        return values
+
+    def _coerce(self, values: Row) -> Row:
+        normalized = []
+        for column, value in zip(self._columns, values):
+            if value is None:
+                value = column.default
+            if value is None and not column.nullable:
+                raise SchemaError(f"column {column.name!r} is NOT NULL")
+            normalized.append(coerce_value(column.type, value))
+        return tuple(normalized)
+
+    def key_getter(self, columns: Sequence[str]) -> Callable[[Sequence[Any]], Row]:
+        """A function returning the key tuple of ``columns`` from a
+        normalized row: an ``itemgetter`` over their positions."""
+        positions = [self._column_index(name) for name in columns]
+        if len(positions) > 1:
+            return itemgetter(*positions)
+        # no column or one: a slice of the row keeps the key a tuple
+        start = positions[0] if positions else 0
+        return itemgetter(slice(start, start + len(positions)))
+
+    # ------------------------------------------------------------------
+    def size(self, row: Sequence[Any]) -> int:
+        """Exact byte length of :meth:`encode`'s output for ``row``."""
+        total = 4
+        for value, tag in zip(row, self._tags):
+            if value is None:
+                total += 1
+            elif tag == _TAG_TEXT or tag == _TAG_CHAR:
+                length = len(value) if value.isascii() else len(value.encode("utf-8"))
+                total += 2 if length == 1 and tag == _TAG_CHAR else 5 + length
+            elif tag == _TAG_BOOL:
+                total += 2
+            else:
+                total += 9
+        return total
+
+    def encode(self, row: Sequence[Any]) -> bytes:
+        """``row`` as a length-prefixed byte string."""
+        pack_length = _TAGGED_LENGTH.pack
+        parts = []
+        append = parts.append
+        for value, tag in zip(row, self._tags):
+            if value is None:
+                append(_NULL_BYTES)
+            elif tag == _TAG_TEXT:
+                raw = value.encode("utf-8")
+                append(pack_length(_TAG_TEXT, len(raw)))
+                append(raw)
+            elif tag == _TAG_INT:
+                append(_TAGGED_INT.pack(_TAG_INT, value))
+            elif tag == _TAG_CHAR:
+                raw = value.encode("utf-8")
+                if len(raw) == 1:
+                    append(_CHAR_TAG_BYTES)
+                else:  # non-ASCII char: fall back to text encoding
+                    append(pack_length(_TAG_TEXT, len(raw)))
+                append(raw)
+            elif tag == _TAG_REAL:
+                append(_TAGGED_REAL.pack(_TAG_REAL, float(value)))
+            else:
+                append(_BOOL_BYTES[1 if value else 0])
+        body = b"".join(parts)
+        return _U32.pack(len(body)) + body
+
+    def decode(self, data: bytes, offset: int = 0) -> Tuple[Row, int]:
+        """Decode the length-prefixed row starting at ``offset``.
+
+        Returns ``(row, next_offset)``.  Values are read by their tags.
+        A truncated prefix, body or value, an unknown tag, a text value
+        that is not UTF-8, or bytes left over in the body all raise
+        :class:`WALError`.
+        """
+        if offset + 4 > len(data):
+            raise WALError("truncated row length prefix")
+        (length,) = _U32.unpack_from(data, offset)
+        offset += 4
+        body = data[offset : offset + length]
+        if len(body) != length:
+            raise WALError("truncated row body")
+        unpack_length = _U32.unpack_from
+        values = []
+        append = values.append
+        at = 0
+        try:
+            for _ in self._tags:
+                tag = body[at]
+                at += 1
+                if tag == _TAG_TEXT:
+                    (size,) = unpack_length(body, at)
+                    at += 4
+                    raw = body[at : at + size]
+                    if len(raw) != size:
+                        raise WALError("truncated text value")
+                    append(raw.decode("utf-8"))
+                    at += size
+                elif tag == _TAG_INT:
+                    append(_INT.unpack_from(body, at)[0])
+                    at += 8
+                elif tag == _TAG_NULL:
+                    append(None)
+                elif tag == _TAG_CHAR:
+                    append(chr(body[at]))
+                    at += 1
+                elif tag == _TAG_REAL:
+                    append(_REAL.unpack_from(body, at)[0])
+                    at += 8
+                elif tag == _TAG_BOOL:
+                    append(bool(body[at]))
+                    at += 1
+                else:
+                    raise WALError(f"unknown value tag {tag}")
+        except (struct.error, IndexError) as exc:
+            raise WALError(
+                f"truncated row: value {len(values)} of {len(self._tags)} ({exc})"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise WALError(f"text value {len(values)} is not UTF-8 ({exc})") from exc
+        if at != length:
+            raise WALError(f"trailing bytes in encoded row ({length - at})")
+        return tuple(values), offset + length

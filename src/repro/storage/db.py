@@ -235,20 +235,30 @@ class Database:
         self.commit()
         return result
 
-    def _log(self, kind: int, table_name: str, row: Tuple[Any, ...]) -> None:
+    def _log(
+        self, kind: int, table_name: str, row: Tuple[Any, ...], encoded: Optional[bytes] = None
+    ) -> None:
         if self._wal is not None:
-            self._wal_append(WalRecord(kind, self._active_txn, table_name, row))
+            self._wal_append(WalRecord(kind, self._active_txn, table_name, row, encoded=encoded))
 
     # ------------------------------------------------------------------
     # DML
     # ------------------------------------------------------------------
     def _insert_row(self, table: Table, row: "Sequence[Any] | Dict[str, Any]") -> int:
-        rowid = table.insert(row)
-        stored = table.get(rowid)
+        codec = table.schema.codec
+        stored = codec.normalize(row)
+        if self._wal is None:
+            encoded = None
+            rowid = table._insert(stored, codec.size(stored))
+        else:
+            # a logged insert encodes its row once: the bytes' length is
+            # the table's byte accounting and the WAL record carries them
+            encoded = codec.encode(stored)
+            rowid = table._insert(stored, len(encoded))
         # undo before WAL: if the log append fails, rollback (explicit
         # or implicit) still knows how to take the row back out
         self._undo.append(_UndoEntry("insert", table.schema.name, rowid, stored))
-        self._log(KIND_INSERT, table.schema.name, stored)
+        self._log(KIND_INSERT, table.schema.name, stored, encoded)
         return rowid
 
     def insert(self, table_name: str, row: "Sequence[Any] | Dict[str, Any]") -> int:

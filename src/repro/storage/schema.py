@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .codec import RowCodec
 from .errors import SchemaError, UnknownColumnError
-from .types import ColumnType, coerce_value, validate_value, value_bytes
+from .types import ColumnType, validate_value
 
 __all__ = ["Column", "IndexSpec", "TableSchema"]
 
@@ -102,6 +103,9 @@ class TableSchema:
         self._column_names: Tuple[str, ...] = tuple(
             column.name for column in self.columns
         )
+        #: the compiled row path: validation, size, index keys and bytes
+        self.codec = RowCodec(self)
+        self._primary_key_of = self.codec.key_getter(self.primary_key)
 
     # ------------------------------------------------------------------
     @property
@@ -125,50 +129,20 @@ class TableSchema:
 
     # ------------------------------------------------------------------
     def normalize_row(self, row: "Sequence[Any] | Dict[str, Any]") -> Tuple[Any, ...]:
-        """Validate and coerce a row (tuple in column order, or a mapping).
-
-        Applies defaults and NOT NULL checks; raises on arity or type
-        mismatches.  Returns the canonical value tuple.
-        """
-        if isinstance(row, dict):
-            unknown = set(row) - set(self._positions)
-            if unknown:
-                raise UnknownColumnError(
-                    f"unknown column(s) {sorted(unknown)} for table {self.name!r}"
-                )
-            values = [row.get(column.name, column.default) for column in self.columns]
-        else:
-            values = list(row)
-            if len(values) != len(self.columns):
-                raise SchemaError(
-                    f"table {self.name!r} expects {len(self.columns)} values, "
-                    f"got {len(values)}"
-                )
-        normalized = []
-        for column, value in zip(self.columns, values):
-            if value is None:
-                value = column.default
-            if value is None and not column.nullable:
-                raise SchemaError(f"column {column.name!r} is NOT NULL")
-            normalized.append(coerce_value(column.type, value))
-        return tuple(normalized)
+        """Validate and coerce a row (tuple in column order, or a mapping);
+        see :meth:`RowCodec.normalize`."""
+        return self.codec.normalize(row)
 
     def row_as_dict(self, row: Sequence[Any]) -> Dict[str, Any]:
         return dict(zip(self.column_names, row))
 
     def key_of(self, row: Sequence[Any]) -> Tuple[Any, ...]:
         """Extract the primary-key tuple from a normalized row."""
-        return tuple(row[self._positions[c]] for c in self.primary_key)
-
-    def project(self, row: Sequence[Any], columns: Sequence[str]) -> Tuple[Any, ...]:
-        return tuple(row[self.column_index(c)] for c in columns)
+        return self._primary_key_of(row)
 
     def row_bytes(self, row: Sequence[Any]) -> int:
         """Byte size of a row under the storage codec (header + values)."""
-        header = 4  # row length prefix
-        return header + sum(
-            value_bytes(column.type, value) for column, value in zip(self.columns, row)
-        )
+        return self.codec.size(row)
 
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name} {c.type.value}" for c in self.columns)

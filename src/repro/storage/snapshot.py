@@ -12,7 +12,8 @@ File format (v2, checksummed — the only version written or read)::
                 u64 wal_watermark u32 table_count
     table    := u16 name_len name_bytes u32 schema_len schema_json
                 u32 row_count row*
-    row      := length-prefixed codec row (see repro.storage.codec)
+    row      := the table's RowCodec row, length-prefixed
+                (see repro.storage.codec)
     footer   := magic "RPND" u32 crc-of-everything-before-the-footer
 
 Schemas travel as JSON (they are metadata, not data) — column names,
@@ -49,7 +50,6 @@ from typing import Any, Dict, List, Optional
 
 from ..common.checksum import ALG_NAMES, PREFERRED_ALG, checksum
 from ..common.faults import NO_FAULTS, durable_fsync, fsync_directory
-from .codec import decode_row, encode_row
 from .db import Database
 from .errors import StorageError, WALError
 from .schema import Column, IndexSpec, TableSchema
@@ -171,8 +171,9 @@ def save_snapshot(db: Database, path: str, *, faults=None) -> int:
                 writer.write(struct.pack("<I", len(schema_json)))
                 writer.write(schema_json)
                 writer.write(struct.pack("<I", table.row_count))
+                encode = table.schema.codec.encode
                 for _rowid, row in table.scan():
-                    writer.write(encode_row(table.schema, row))
+                    writer.write(encode(row))
             # the footer seals everything before it (and is excluded)
             handle.write(_FOOTER_MAGIC + struct.pack("<I", writer.crc))
             size = writer.written + _FOOTER_SIZE
@@ -295,6 +296,7 @@ def load_snapshot(
             )
         db.create_table(schema)
         row_count = reader.u32(f"row count of {table_name!r}")
+        decode = schema.codec.decode
         rows: List[Any] = []
         for row_index in range(row_count):
             if reader.offset >= body_end:
@@ -304,8 +306,8 @@ def load_snapshot(
                     f"past the table data"
                 )
             try:
-                row, reader.offset = decode_row(schema, data, reader.offset)
-            except (WALError, struct.error, IndexError, UnicodeDecodeError) as exc:
+                row, reader.offset = decode(data, reader.offset)
+            except WALError as exc:
                 raise StorageError(
                     f"corrupt snapshot {path!r}: row {row_index} of "
                     f"{table_name!r} at offset {reader.offset}: {exc}"

@@ -6,7 +6,9 @@ from bisect import bisect_left, bisect_right
 from heapq import merge
 from typing import (
     Any,
+    Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -207,6 +209,7 @@ class Table:
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
+        self._codec = schema.codec
         self._rows: Dict[int, Row] = {}
         self._next_rowid = 1
         self._byte_size = 0
@@ -214,6 +217,8 @@ class Table:
         self._max_seen_rowid = 0
         self._indexes: Dict[str, Union[HashIndex, OrderedIndex]] = {}
         self._index_specs: Dict[str, IndexSpec] = {}
+        #: index name -> the codec's key getter for its columns
+        self._key_getters: Dict[str, Callable[[Row], Tuple[Any, ...]]] = {}
         self._max_stats: Dict[str, Tuple[int, _MaxStat]] = {}
         #: monotone mutation counter — cache key for planner statistics
         #: (histograms) that must notice updates-in-place, which leave
@@ -274,10 +279,8 @@ class Table:
         """
         if spec.name in self._indexes:
             raise SchemaError(f"index {spec.name!r} already exists")
-        project = self.schema.project
-        entries = (
-            (project(row, spec.columns), rowid) for rowid, row in self._rows.items()
-        )
+        key_of = self._codec.key_getter(spec.columns)
+        entries = zip(map(key_of, self._rows.values()), self._rows)
         index: Union[HashIndex, OrderedIndex]
         if spec.ordered:
             checked = (
@@ -295,6 +298,7 @@ class Table:
             index = HashIndex.bulk_build(spec.name, entries, unique=spec.unique)
         self._indexes[spec.name] = index
         self._index_specs[spec.name] = spec
+        self._key_getters[spec.name] = key_of
         # index DDL changes the viable access paths *and* the statistics
         # surface (ordered indexes feed histogram sampling), so it must
         # move the stats epoch or cached histograms/plans survive stale
@@ -313,14 +317,16 @@ class Table:
         self._pk_name = f"{self.schema.name}_pk_idx"
         self.create_index(IndexSpec(self._pk_name, key, unique=True))
 
-    def _reject_null_pk(self, row: Row) -> None:
+    def _reject_null_pk(self, rows: Iterable[Row]) -> None:
         """Input validation: no primary-key component may be NULL."""
-        if self._pk_name is not None and any(
-            part is None for part in self.schema.key_of(row)
-        ):
-            raise ConstraintError(
-                f"primary key of {self.schema.name!r} may not contain NULL"
-            )
+        if self._pk_name is None:
+            return
+        key_of = self._key_getters[self._pk_name]
+        for row in rows:
+            if None in key_of(row):
+                raise ConstraintError(
+                    f"primary key of {self.schema.name!r} may not contain NULL"
+                )
 
     def _reject_unordered_key(self, name: str, key: Tuple[Any, ...]) -> Tuple[Any, ...]:
         """Validate a key headed for an ordered index and return it.
@@ -463,16 +469,21 @@ class Table:
     # ------------------------------------------------------------------
     def insert(self, row: "Sequence[Any] | Dict[str, Any]") -> int:
         """Insert a row; returns its row id."""
-        normalized = self.schema.normalize_row(row)
+        normalized = self._codec.normalize(row)
+        return self._insert(normalized, self._codec.size(normalized))
+
+    def _insert(self, normalized: Row, size: int) -> int:
+        """Insert a row already normalized by the codec, whose encoding
+        is ``size`` bytes long; returns its row id."""
         rowid = self._next_rowid
-        self._reject_null_pk(normalized)
+        self._reject_null_pk((normalized,))
         self._stats_seq += 1
         try:
             try:
+                key_getters = self._key_getters
                 for name, index in self._indexes.items():
-                    spec = self._index_specs[name]
-                    key = self.schema.project(normalized, spec.columns)
-                    if spec.ordered:
+                    key = key_getters[name](normalized)
+                    if None in key and self._index_specs[name].ordered:
                         self._reject_unordered_key(name, key)
                     index.insert(key, rowid)
             except Exception as exc:
@@ -494,7 +505,7 @@ class Table:
             else:
                 self._max_seen_rowid = rowid
             self._next_rowid += 1
-            self._byte_size += self.schema.row_bytes(normalized)
+            self._byte_size += size
             self._stats_add(normalized)
         finally:
             self._stats_seq += 1
@@ -515,46 +526,44 @@ class Table:
         falls back to incremental inserts (the measured crossover — see
         the constant's note).
         """
-        normalized = [self.schema.normalize_row(row) for row in rows]
+        normalized = list(map(self._codec.normalize, rows))
         if not normalized:
             return []
         first = self._next_rowid
         rowids = list(range(first, first + len(normalized)))
 
         # -- validate ---------------------------------------------------
-        for row in normalized:
-            self._reject_null_pk(row)
+        self._reject_null_pk(normalized)
         batch_entries: Dict[str, List[Tuple[Tuple[Any, ...], int]]] = {}
         for name, index in self._indexes.items():
-            spec = self._index_specs[name]
-            columns = spec.columns
-            entries = [
-                (self.schema.project(row, columns), rowid)
-                for row, rowid in zip(normalized, rowids)
-            ]
-            if spec.ordered:
+            keys = list(map(self._key_getters[name], normalized))
+            if self._index_specs[name].ordered:
                 # same validate-then-apply hole as ``insert``: an ordered
                 # index rejecting a NULL key mid-apply (after the heap,
                 # earlier indexes, and stats were mutated) would strand
                 # phantoms — reject in the validate phase instead
-                for key, _rowid in entries:
-                    self._reject_unordered_key(name, key)
-            if index.unique:
+                for key in keys:
+                    if None in key:
+                        self._reject_unordered_key(name, key)
+            if index.unique and (
+                len(set(keys)) != len(keys)
+                or (len(index) and any(map(index.contains, keys)))
+            ):
                 seen: Set[Tuple[Any, ...]] = set()
-                for key, _rowid in entries:
+                for key in keys:
                     if key in seen or index.contains(key):
                         raise DuplicateKeyError(
                             f"duplicate key {key!r} in unique index {name!r}"
                         )
                     seen.add(key)
-            batch_entries[name] = entries
+            batch_entries[name] = list(zip(keys, rowids))
 
         # -- apply ------------------------------------------------------
         self._stats_seq += 1
         try:
-            for row, rowid in zip(normalized, rowids):
-                self._rows[rowid] = row
-                self._byte_size += self.schema.row_bytes(row)
+            self._rows.update(zip(rowids, normalized))
+            self._byte_size += sum(map(self._codec.size, normalized))
+            for row in normalized:
                 self._stats_add(row)
             self._next_rowid = rowids[-1] + 1
             self._max_seen_rowid = rowids[-1]  # fresh ids: dict stays ordered
@@ -587,8 +596,7 @@ class Table:
         for name, index in self._indexes.items():
             if name == stop_at:
                 break
-            spec = self._index_specs[name]
-            index.delete(self.schema.project(row, spec.columns), rowid)
+            index.delete(self._key_getters[name](row), rowid)
 
     def delete_row(self, rowid: int) -> Row:
         """Delete by row id; returns the removed row."""
@@ -597,10 +605,8 @@ class Table:
         self._stats_seq += 1
         try:
             row = self._rows.pop(rowid)
-            for name, index in self._indexes.items():
-                spec = self._index_specs[name]
-                index.delete(self.schema.project(row, spec.columns), rowid)
-            self._byte_size -= self.schema.row_bytes(row)
+            self._unindex(rowid, row)
+            self._byte_size -= self._codec.size(row)
             self._stats_remove(row)
         finally:
             self._stats_seq += 1
@@ -620,21 +626,20 @@ class Table:
             raise ConstraintError(f"no row with id {rowid} in {self.schema.name!r}")
         merged = dict(zip(self.schema.column_names, old))
         merged.update(changes)
-        new = self.schema.normalize_row(merged)
+        new = self._codec.normalize(merged)
         if new == old:
             return old, new
 
         # -- validate ---------------------------------------------------
-        self._reject_null_pk(new)
+        self._reject_null_pk((new,))
         changed: List[Tuple[Union[HashIndex, OrderedIndex], Tuple[Any, ...], Tuple[Any, ...]]] = []
         for name, index in self._indexes.items():
-            spec = self._index_specs[name]
-            columns = spec.columns
-            old_proj = self.schema.project(old, columns)
-            new_proj = self.schema.project(new, columns)
+            key_of = self._key_getters[name]
+            old_proj = key_of(old)
+            new_proj = key_of(new)
             if new_proj == old_proj:
                 continue
-            if spec.ordered:
+            if self._index_specs[name].ordered:
                 # must fail in the validate phase: a TypeError during the
                 # swap would leave earlier indexes already moved
                 self._reject_unordered_key(name, new_proj)
@@ -651,7 +656,7 @@ class Table:
                 index.delete(old_proj, rowid)
                 index.insert(new_proj, rowid)
             self._rows[rowid] = new
-            self._byte_size += self.schema.row_bytes(new) - self.schema.row_bytes(old)
+            self._byte_size += self._codec.size(new) - self._codec.size(old)
             self._stats_remove(old)
             self._stats_add(new)
         finally:
@@ -841,6 +846,7 @@ class Table:
         table = cls(schema)
         table._indexes.clear()
         table._index_specs.clear()
+        table._key_getters.clear()
         ordered = dict(sorted(rows.items()))
         table._rows = ordered
         if ordered:
@@ -849,7 +855,7 @@ class Table:
         table._byte_size = (
             byte_size
             if byte_size is not None
-            else sum(schema.row_bytes(row) for row in ordered.values())
+            else sum(map(schema.codec.size, ordered.values()))
         )
         for spec in index_specs:
             table.create_index(spec)

@@ -3,17 +3,18 @@
 The engine supports the handful of scalar types the reproduction needs
 (the paper's provenance table is ``Prov(Tid INT, Op CHAR(1), Loc TEXT,
 Src TEXT NULL)``).  Values are plain Python objects; each type knows how
-to validate and coerce values and how large they are on disk.
+to validate and coerce values (their size on disk is the row codec's,
+:mod:`repro.storage.codec`).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Optional
+from typing import Any
 
 from .errors import SchemaError
 
-__all__ = ["ColumnType", "validate_value", "coerce_value", "value_bytes"]
+__all__ = ["ColumnType", "validate_value", "coerce_value"]
 
 
 class ColumnType(enum.Enum):
@@ -79,17 +80,3 @@ def coerce_value(column_type: ColumnType, value: Any) -> Any:
     validate_value(column_type, value)
     return value
 
-
-def value_bytes(column_type: ColumnType, value: Optional[Any]) -> int:
-    """On-disk size of a value, matching :mod:`repro.storage.codec`."""
-    if value is None:
-        return 1  # null marker
-    if column_type is ColumnType.INT:
-        return 9
-    if column_type is ColumnType.REAL:
-        return 9
-    if column_type is ColumnType.BOOL:
-        return 2
-    if column_type is ColumnType.CHAR:
-        return 2
-    return 1 + 4 + len(str(value).encode("utf-8"))

@@ -17,7 +17,8 @@ The log is a sequence of segment files ``<base>.000001``,
     segment  := magic "WAL2" u8 version u8 checksum_alg u16 reserved
                 u64 base_lsn record*
     record   := u32 payload_len  u32 crc  u64 lsn  payload
-    payload  := u8 kind u64 txn_id [u16 table_len table u32 body_len body]
+    payload  := u8 kind u64 txn_id [u16 table_len table row]
+    row      := u32 body_len body  (the table's RowCodec encoding)
     kind     := BEGIN(0) | COMMIT(1) | ABORT(2) | INSERT(3) | DELETE(4)
                 | CHECKPOINT(5)
 
@@ -57,12 +58,11 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
 
-from ..common.checksum import ALG_NAMES, PREFERRED_ALG, checksum, checksum_fn
+from ..common.checksum import ALG_NAMES, PREFERRED_ALG, checksum_fn
 from ..common.faults import NO_FAULTS, durable_fsync
-from .codec import decode_values, encode_values
 from .errors import WALCorruptionError, WALError
 from .schema import TableSchema
 
@@ -96,11 +96,17 @@ _SEGMENT_VERSION = 2
 _SEGMENT_HEADER = struct.Struct("<4sBBHQ")
 #: record header: u32 payload length, u32 crc, u64 lsn
 _RECORD_HEADER = struct.Struct("<IIQ")
+#: the record header's two halves, as append writes them
+_LENGTH_CRC = struct.Struct("<II")
+_LSN = struct.Struct("<Q")
 #: rotate to a fresh segment once the current one reaches this size
 DEFAULT_SEGMENT_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen dataclass's __init__ sets each field through
+# object.__setattr__, about three times the cost of a slotted one, and
+# one record is built per logged row and per row recovery reads back
+@dataclass(slots=True)
 class WalRecord:
     kind: int
     txn_id: int
@@ -109,45 +115,47 @@ class WalRecord:
     #: log sequence number, filled in by the scanner (None on records
     #: built for appending — append() assigns and returns the LSN)
     lsn: Optional[int] = None
+    #: ``row`` as the table codec already encoded it (length-prefixed),
+    #: so a write that sized the row from its bytes logs those bytes
+    #: instead of encoding the row again; None means append encodes it
+    encoded: Optional[bytes] = field(default=None, compare=False, repr=False)
 
     @property
     def kind_name(self) -> str:
         return _KIND_NAMES.get(self.kind, f"?{self.kind}")
 
 
+#: payload head: u8 kind, i64 txn id
+_PAYLOAD_HEAD = struct.Struct("<Bq")
+#: an INSERT/DELETE payload's table name length
+_TABLE_LENGTH = struct.Struct("<H")
+
+
 def _encode_payload(record: WalRecord, schemas: Dict[str, TableSchema]) -> bytes:
-    parts = [struct.pack("<Bq", record.kind, record.txn_id)]
-    if record.kind in (KIND_INSERT, KIND_DELETE):
-        if record.table is None or record.row is None:
-            raise WALError("INSERT/DELETE records require table and row")
-        table_bytes = record.table.encode("utf-8")
-        parts.append(struct.pack("<H", len(table_bytes)))
-        parts.append(table_bytes)
-        schema = schemas[record.table]
-        body = encode_values(schema, record.row)
-        parts.append(struct.pack("<I", len(body)))
-        parts.append(body)
-    return b"".join(parts)
+    head = _PAYLOAD_HEAD.pack(record.kind, record.txn_id)
+    if record.kind not in (KIND_INSERT, KIND_DELETE):
+        return head
+    if record.table is None or record.row is None:
+        raise WALError("INSERT/DELETE records require table and row")
+    table_bytes = record.table.encode("utf-8")
+    row = record.encoded
+    if row is None:
+        row = schemas[record.table].codec.encode(record.row)
+    return b"".join((head, _TABLE_LENGTH.pack(len(table_bytes)), table_bytes, row))
 
 
 def _decode_payload(
     payload: bytes, schemas: Dict[str, TableSchema], lsn: Optional[int] = None
 ) -> WalRecord:
-    kind, txn_id = struct.unpack_from("<Bq", payload, 0)
-    offset = 9
-    if kind in (KIND_INSERT, KIND_DELETE):
-        (table_len,) = struct.unpack_from("<H", payload, offset)
-        offset += 2
-        table = payload[offset : offset + table_len].decode("utf-8")
-        offset += table_len
-        (body_len,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        body = payload[offset : offset + body_len]
-        if table not in schemas:
-            raise WALError(f"WAL references unknown table {table!r}")
-        row = decode_values(schemas[table], body)
-        return WalRecord(kind, txn_id, table, row, lsn=lsn)
-    return WalRecord(kind, txn_id, lsn=lsn)
+    kind, txn_id = _PAYLOAD_HEAD.unpack_from(payload, 0)
+    if kind not in (KIND_INSERT, KIND_DELETE):
+        return WalRecord(kind, txn_id, lsn=lsn)
+    (table_len,) = _TABLE_LENGTH.unpack_from(payload, 9)
+    table = payload[11 : 11 + table_len].decode("utf-8")
+    if table not in schemas:
+        raise WALError(f"WAL references unknown table {table!r}")
+    row, _end = schemas[table].codec.decode(payload, 11 + table_len)
+    return WalRecord(kind, txn_id, table, row, lsn=lsn)
 
 
 @dataclass
@@ -278,9 +286,7 @@ class WriteAheadLog:
             self._open_segment(seq, self._next_lsn)
         return self._file
 
-    def _rotate_if_needed(self) -> None:
-        if self._file is None or self._file_size < self._segment_bytes:
-            return
+    def _rotate(self) -> None:
         seq = int(self.segment_paths()[-1].rsplit(".", 1)[1]) + 1
         durable_fsync(self._file)
         self._file.close()
@@ -292,16 +298,17 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def append(self, record: WalRecord) -> int:
         """Append ``record``; returns its assigned LSN."""
-        handle = self._handle()
-        self._rotate_if_needed()
-        handle = self._file
+        if self._file is None:
+            self._handle()
+        if self._file_size >= self._segment_bytes:
+            self._rotate()
         lsn = self._next_lsn
         payload = _encode_payload(record, self._schemas)
-        # crc chaining: crc(lsn_bytes + payload) == the scanner's
-        # crc(payload, seed=crc(lsn_bytes)) — one C call instead of two
-        crc = self._crc(struct.pack("<Q", lsn) + payload, 0)
-        framed = _RECORD_HEADER.pack(len(payload), crc, lsn) + payload
-        handle.write(framed)
+        # the crc covers the lsn field and the payload, which sit side
+        # by side at the end of the record: one call over both
+        covered = _LSN.pack(lsn) + payload
+        framed = _LENGTH_CRC.pack(len(payload), self._crc(covered, 0)) + covered
+        self._file.write(framed)
         self._file_size += len(framed)
         self._next_lsn = lsn + 1
         return lsn
@@ -515,6 +522,7 @@ def _scan_v2_records(
     offset = 0
     expected_lsn = base_lsn
     header = _RECORD_HEADER
+    crc_of = checksum_fn(alg)
     file_offset = _SEGMENT_HEADER.size  # for error reporting
     while offset < len(data):
         remaining = len(data) - offset
@@ -539,7 +547,9 @@ def _scan_v2_records(
                 )
             return
         payload = data[offset + header.size : end]
-        expected_crc = checksum(alg, payload, checksum(alg, data[offset + 8 : offset + 16]))
+        # the lsn field (bytes 8-16 of the header) runs straight into the
+        # payload, so one call covers both
+        expected_crc = crc_of(data[offset + 8 : end], 0)
         if crc != expected_crc:
             _bad_record(
                 mode, stats, segment, file_offset + offset, expected_lsn,

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.codec import decode_row, decode_values, encode_row, encode_values
 from repro.storage.db import Database
 from repro.storage.errors import (
     ConstraintError,
@@ -114,44 +113,44 @@ scalar_values = st.one_of(
 
 class TestCodec:
     def test_roundtrip_simple(self):
-        schema = prov_schema()
+        codec = prov_schema().codec
         row = (121, "C", "T/c1/y", "S1/a1/y")
-        assert decode_values(schema, encode_values(schema, row)) == row
+        assert codec.decode(codec.encode(row)) == (row, len(codec.encode(row)))
 
     def test_roundtrip_nulls(self):
-        schema = prov_schema()
+        codec = prov_schema().codec
         row = (121, "D", "T/c5", None)
-        assert decode_values(schema, encode_values(schema, row)) == row
+        assert codec.decode(codec.encode(row))[0] == row
 
     def test_length_prefixed(self):
-        schema = prov_schema()
+        codec = prov_schema().codec
         row = (1, "I", "T/x", None)
-        data = encode_row(schema, row) + encode_row(schema, (2, "I", "T/y", None))
-        first, offset = decode_row(schema, data, 0)
-        second, end = decode_row(schema, data, offset)
+        data = codec.encode(row) + codec.encode((2, "I", "T/y", None))
+        first, offset = codec.decode(data, 0)
+        second, end = codec.decode(data, offset)
         assert first == row
         assert second[0] == 2
         assert end == len(data)
 
     def test_unicode_char(self):
-        schema = TableSchema("t", [Column("c", ColumnType.CHAR)])
+        codec = TableSchema("t", [Column("c", ColumnType.CHAR)]).codec
         row = ("é",)
-        assert decode_values(schema, encode_values(schema, row)) == row
+        assert codec.decode(codec.encode(row))[0] == row
 
     @settings(**_PROFILE)
     @given(st.lists(st.tuples(st.integers(-1000, 1000), st.text(max_size=10)), max_size=5))
     def test_roundtrip_many(self, pairs):
-        schema = TableSchema(
+        codec = TableSchema(
             "t", [Column("n", ColumnType.INT), Column("s", ColumnType.TEXT)]
-        )
+        ).codec
         for n, s in pairs:
-            assert decode_values(schema, encode_values(schema, (n, s))) == (n, s)
+            assert codec.decode(codec.encode((n, s)))[0] == (n, s)
 
     def test_row_bytes_matches_schema_estimate(self):
         schema = prov_schema()
         row = schema.normalize_row((121, "C", "T/c1/y", "S1/a1/y"))
-        # schema.row_bytes is the accounting estimate; the codec is real
-        assert abs(schema.row_bytes(row) - (4 + len(encode_values(schema, row)))) <= 8
+        # schema.row_bytes is the byte accounting; it is the codec's exact size
+        assert schema.row_bytes(row) == len(schema.codec.encode(row))
 
 
 class TestIndexes:
