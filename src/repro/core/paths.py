@@ -231,8 +231,8 @@ class Path:
         """``[self, parent, ..., top-level]`` — every location whose
         explicit record could cover ``self`` under hierarchical
         inference (never the database root).  Closest-first, so callers
-        can stop at the first hit; the whole chain is fetched as one
-        batched multi-range probe
+        can stop at the first hit; the whole chain is fetched in one
+        presorted multi-range pass over the ``(loc, tid)`` index
         (:meth:`repro.core.provenance.ProvTable.records_at_locs`)."""
         chain = [self]
         for ancestor in self.ancestors():

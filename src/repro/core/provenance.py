@@ -29,9 +29,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..common.clock import CostModel, VirtualClock
 from ..storage.db import Database
-from ..storage.expr import Col
-from ..storage.index import MAX_KEY
-from ..storage.plan import IndexNestedLoopJoin, ValuesNode
+from ..storage.index import MAX_KEY, KeyRange
 from ..storage.schema import Column, IndexSpec, TableSchema
 from ..storage.types import ColumnType
 from .paths import Path
@@ -130,6 +128,7 @@ class ProvTable:
         if not self.db.has_table(table_name):
             self.db.create_table(prov_schema(table_name))
         self._table = self.db.table(table_name)
+        self._loc_index = f"{table_name}_loc"
         # incremental MAX(tid): maintained by the table across every
         # mutation path, so max_tid stops full-scanning (the charged
         # round-trip cost is unchanged; only the Python-side work goes)
@@ -177,33 +176,38 @@ class ProvTable:
         self._charge_read(len(rows), category)
         return sorted((ProvRecord.from_row(row) for row in rows), key=_record_order)
 
-    def _loc_rows(self, text: str, max_tid: Optional[int] = None) -> List[Tuple]:
-        """Rows at exactly ``text``, optionally only those with
-        ``tid <= max_tid`` — one ordered-index range scan over the
-        composite ``(loc, tid)`` key, streamed in tid order."""
-        high = (text, MAX_KEY) if max_tid is None else (text, max_tid)
-        return [
-            row
-            for _rid, row in self._table.range_scan(
-                f"{self.table_name}_loc", low=(text,), high=high
-            )
-        ]
+    def _records_in(self, ranges: Sequence[KeyRange], category: str) -> List[ProvRecord]:
+        """Records whose ``(loc, tid)`` key lies in any of ``ranges``
+        (presorted by low bound), as *one* charged round trip and one
+        multi-range pass over the ordered index.  No ranges: no pass."""
+        rows = (
+            self._table.multi_range_scan(self._loc_index, ranges, presorted=True)
+            if ranges
+            else ()
+        )
+        records = [ProvRecord.from_row(row) for _rowid, row in rows]
+        self._charge_read(len(records), category)
+        return sorted(records, key=_record_order)
 
     def records_at_loc(
         self, loc: Path, category: str = "query", max_tid: Optional[int] = None
     ) -> List[ProvRecord]:
-        rows = self._loc_rows(str(loc), max_tid)
-        self._charge_read(len(rows), category)
-        return sorted((ProvRecord.from_row(row) for row in rows), key=_record_order)
+        """Records at exactly ``loc``, optionally only ``tid <= max_tid``."""
+        return self.records_at_locs([loc], category, max_tid)
 
     def records_under(self, prefix: Path, category: str = "query") -> List[ProvRecord]:
         """All records whose loc is at or under ``prefix`` (the Mod access
-        pattern, ``loc LIKE 'p/%' OR loc = 'p'``)."""
+        pattern, ``loc = 'p' OR loc LIKE 'p/%'``): two ranges, one pass.
+        Every loc with prefix ``p/`` sorts in ``[p/, p0)``, since ``'0'``
+        is the character after ``'/'``."""
         text = str(prefix)
-        rows = [row for _rid, row in self._table.prefix_scan(f"{self.table_name}_loc", text + "/")]
-        rows += self._loc_rows(text)
-        self._charge_read(len(rows), category)
-        return sorted((ProvRecord.from_row(row) for row in rows), key=_record_order)
+        return self._records_in(
+            [
+                ((text,), (text, MAX_KEY), True, True),
+                ((text + "/",), (text + "0",), True, False),
+            ],
+            category,
+        )
 
     def records_at_locs(
         self,
@@ -216,44 +220,25 @@ class ProvTable:
         index pass** — the batch read behind the trace walks and
         ancestor-coverage fetches of :mod:`repro.core.queries`.
 
-        Since PR 5 this rides the storage engine's join machinery: the
-        probed locations form a :class:`~repro.storage.plan.ValuesNode`
-        driver joined to the provenance table by an
-        :class:`~repro.storage.plan.IndexNestedLoopJoin` on the ``(loc,
-        tid)`` ordered index, with the time-travel window ``tid <=
-        max_tid`` pushed into every probe range as the join's tail
-        bound.  A single unchunked probe batch keeps the PR 4 contract:
-        N locations charge one round trip and execute one presorted
-        multi-range union pass (counter-asserted via ``multi_range_scan``
-        *and* the join operator's ``inlj_probe`` counter).  Duplicate
-        locations are probed once, IN-list set semantics.
-
-        ``min_tid`` optionally pushes a head bound as the probe ranges'
-        ``tail_low`` — with ``min_tid == max_tid`` the batch degenerates
-        to exact ``(loc, tid)`` point probes, the shape
+        Each distinct location becomes one range on the ``(loc, tid)``
+        ordered index, with the time-travel window ``min_tid <= tid <=
+        max_tid`` (either side optional) in its tid component; the
+        ranges, sorted by location, go to the table as one presorted
+        :meth:`~repro.storage.table.Table.multi_range_scan`, and its row
+        tuples become records directly (counter-asserted via
+        ``multi_range_scan``).  Duplicate locations are probed once,
+        IN-list set semantics.  With ``min_tid == max_tid`` the ranges
+        are exact ``(loc, tid)`` points, the shape
         :func:`repro.core.inference.infer_at` uses for its one-pass
         ancestor rebase."""
-        texts = sorted({str(loc) for loc in locs})
-        join = IndexNestedLoopJoin(
-            ValuesNode([{"loc": text} for text in texts]),
-            self._table,
-            f"{self.table_name}_loc",
-            (Col("loc"),),
-            tail_low=None if min_tid is None else (min_tid, True),
-            tail_high=None if max_tid is None else (max_tid, True),
-            chunk=0,  # the batch is one charged round trip: one probe pass
+        high = MAX_KEY if max_tid is None else max_tid
+        return self._records_in(
+            [
+                ((text,) if min_tid is None else (text, min_tid), (text, high), True, True)
+                for text in sorted({str(loc) for loc in locs})
+            ],
+            category,
         )
-        records = [
-            ProvRecord(
-                env["tid"],
-                env["op"],
-                Path.parse(env["loc"]),
-                Path.parse(env["src"]) if env["src"] else None,
-            )
-            for env in join.execute()
-        ]
-        self._charge_read(len(records), category)
-        return sorted(records, key=_record_order)
 
     def all_records(self, category: str = "query") -> List[ProvRecord]:
         rows = [row for _rid, row in self._table.scan()]

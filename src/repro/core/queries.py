@@ -97,12 +97,12 @@ class ProvenanceQueries:
         the ``tid <= bound`` cut is pushed into the store's index range
         instead of being filtered client-side after a full fetch.
 
-        The batch itself rides the storage engine's join machinery:
-        ``records_at_locs`` joins the probed locations (position plus
-        ancestor chain) to the ``(loc, tid)`` index through one
-        ``IndexNestedLoopJoin`` probe pass, with ``bound`` as the
-        join's tail range — so a trace step or ancestor-coverage fetch
-        charges one round trip *and* executes one index pass."""
+        ``records_at_locs`` reads the probed locations (position plus
+        ancestor chain) in one presorted multi-range pass over the
+        ``(loc, tid)`` index, with ``bound`` as every range's tid upper
+        bound, and turns the row tuples into records directly — so a
+        trace step or ancestor-coverage fetch charges one round trip
+        *and* executes one index pass."""
         locs = position.probe_chain() if self.store.hierarchical else [position]
         records = self.table.records_at_locs(locs, max_tid=bound)
         return {(record.tid, record.loc): record for record in records}

@@ -225,11 +225,26 @@ class TestBatchedLocationProbes:
         assert [(r.tid, str(r.loc)) for r in records] == [
             (1, "T/a"), (3, "T/b"), (4, "T/a"),
         ]
-        # the batch runs as one IndexNestedLoopJoin probe batch, which
-        # issues exactly one multi-range union pass over the index
-        assert counts["inlj_probe"] == before["inlj_probe"] + 1
+        # the batch is exactly one presorted multi-range union pass over
+        # the (loc, tid) index, with no join operator in between
+        assert counts["inlj_probe"] == before["inlj_probe"]
         assert counts["multi_range_scan"] == before["multi_range_scan"] + 1
         assert counts["range_scan"] == before["range_scan"]  # one pass, not N
+        assert counts["eq_lookup"] == before["eq_lookup"]
+        assert counts["scan"] == before["scan"]
+
+    def test_records_under_is_one_index_pass(self):
+        table = self._prov_table()
+        counts = table._table.access_counts
+        before = dict(counts)
+        records = table.records_under(Path.parse("T/a"))
+        assert [(r.tid, str(r.loc)) for r in records] == [
+            (1, "T/a"), (2, "T/a/x"), (4, "T/a"),
+        ]
+        # `loc = 'T/a'` and `loc LIKE 'T/a/%'` are two ranges of one pass
+        assert counts["multi_range_scan"] == before["multi_range_scan"] + 1
+        assert counts["prefix_scan"] == before["prefix_scan"]
+        assert counts["range_scan"] == before["range_scan"]
         assert counts["eq_lookup"] == before["eq_lookup"]
         assert counts["scan"] == before["scan"]
 
