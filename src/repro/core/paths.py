@@ -22,7 +22,7 @@ and hashing are still structural.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 __all__ = ["Label", "Path", "PathError", "ROOT"]
 
@@ -65,7 +65,9 @@ class Path:
     True
     """
 
-    __slots__ = ("_labels", "_hash", "_str")
+    # ``_chain`` is left unset until the first :meth:`probe_chain` call,
+    # so construction (on the editor's write path) pays nothing for it
+    __slots__ = ("_labels", "_hash", "_str", "_chain")
 
     def __init__(self, labels: Iterable[Label] = ()) -> None:
         labels = tuple(_check_label(label) for label in labels)
@@ -75,6 +77,16 @@ class Path:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Path is immutable")
+
+    def __reduce__(self):
+        # unpickle to the interned path; the cached chain never travels
+        return (Path._intern, (self._labels,))
+
+    def __copy__(self) -> "Path":
+        return self
+
+    def __deepcopy__(self, memo) -> "Path":
+        return self
 
     # ------------------------------------------------------------------
     # Construction
@@ -108,6 +120,8 @@ class Path:
             path = cls(labels)
             if len(_interned_by_labels) >= _INTERN_LIMIT:
                 _interned_by_labels.clear()
+                # keep the one root object that ``parse("")`` returns
+                _interned_by_labels[()] = ROOT
             _interned_by_labels[labels] = path
         return path
 
@@ -227,19 +241,25 @@ class Path:
         for n in range(start, -1, -1):
             yield Path._intern(self._labels[:n])
 
-    def probe_chain(self) -> List["Path"]:
-        """``[self, parent, ..., top-level]`` — every location whose
+    def probe_chain(self) -> Tuple["Path", ...]:
+        """``(self, parent, ..., top-level)`` — every location whose
         explicit record could cover ``self`` under hierarchical
-        inference (never the database root).  Closest-first, so callers
-        can stop at the first hit; the whole chain is fetched in one
-        presorted multi-range pass over the ``(loc, tid)`` index
-        (:meth:`repro.core.provenance.ProvTable.records_at_locs`)."""
-        chain = [self]
-        for ancestor in self.ancestors():
-            if len(ancestor) < 1:
-                break
-            chain.append(ancestor)
-        return chain
+        inference (never the database root; ``ROOT``'s chain is
+        ``(ROOT,)``).  Closest-first, so callers can stop at the first
+        hit; the whole chain is fetched in one presorted multi-range
+        pass over the ``(loc, tid)`` index
+        (:meth:`repro.core.provenance.ProvTable.records_at_locs`).
+        Built once per path object and cached: later calls return the
+        same tuple."""
+        try:
+            return self._chain
+        except AttributeError:
+            labels = self._labels
+            chain = (self,) + tuple(
+                Path._intern(labels[:n]) for n in range(len(labels) - 1, 0, -1)
+            )
+            object.__setattr__(self, "_chain", chain)
+            return chain
 
     # ------------------------------------------------------------------
     # Dunder plumbing

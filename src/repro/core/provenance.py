@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..common.clock import CostModel, VirtualClock
 from ..storage.db import Database
@@ -51,7 +51,7 @@ OP_DELETE = "D"
 _VALID_OPS = (OP_INSERT, OP_COPY, OP_DELETE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvRecord:
     """One row of the ``Prov`` (or ``HProv``) relation."""
 
@@ -133,6 +133,10 @@ class ProvTable:
         # mutation path, so max_tid stops full-scanning (the charged
         # round-trip cost is unchanged; only the Python-side work goes)
         self._table.track_max("tid")
+        # row tuple -> its record.  Keyed by value, not rowid: records
+        # are frozen and rows append-only, so an entry is never stale
+        # (a rolled-back or re-inserted row needs no invalidation)
+        self._record_cache: Dict[tuple, ProvRecord] = {}
 
     # ------------------------------------------------------------------
     # Writes
@@ -154,6 +158,15 @@ class ProvTable:
     # ------------------------------------------------------------------
     # Reads (each = one charged round trip)
     # ------------------------------------------------------------------
+    def _record(self, row: tuple) -> ProvRecord:
+        """The record for a stored row, built (and validated) on its
+        first read only.  A row that fails validation is not cached, so
+        it raises on every read."""
+        record = self._record_cache.get(row)
+        if record is None:
+            record = self._record_cache[row] = ProvRecord.from_row(row)
+        return record
+
     def _scan_cost_rows(self, matched: int) -> int:
         """Rows 'scanned' by a read: with indexes only the matches, without
         them the whole relation (Figure 13's worst case)."""
@@ -169,23 +182,25 @@ class ProvTable:
         self._charge_read(1, category)
         if found is None:
             return None
-        return ProvRecord.from_row(found[1])
+        return self._record(found[1])
 
     def records_for_tid(self, tid: int, category: str = "query") -> List[ProvRecord]:
         rows = [row for _rid, row in self._table.lookup_index(f"{self.table_name}_tid", (tid,))]
         self._charge_read(len(rows), category)
-        return sorted((ProvRecord.from_row(row) for row in rows), key=_record_order)
+        return sorted(map(self._record, rows), key=_record_order)
 
     def _records_in(self, ranges: Sequence[KeyRange], category: str) -> List[ProvRecord]:
         """Records whose ``(loc, tid)`` key lies in any of ``ranges``
         (presorted by low bound), as *one* charged round trip and one
-        multi-range pass over the ordered index.  No ranges: no pass."""
+        multi-range pass over the ordered index.  No ranges: no pass.
+        Each stored row becomes a record once per table (:meth:`_record`)."""
         rows = (
             self._table.multi_range_scan(self._loc_index, ranges, presorted=True)
             if ranges
             else ()
         )
-        records = [ProvRecord.from_row(row) for _rowid, row in rows]
+        record = self._record
+        records = [record(row) for _rowid, row in rows]
         self._charge_read(len(records), category)
         return sorted(records, key=_record_order)
 
@@ -243,7 +258,7 @@ class ProvTable:
     def all_records(self, category: str = "query") -> List[ProvRecord]:
         rows = [row for _rid, row in self._table.scan()]
         self._charge_read(len(rows), category)
-        return sorted((ProvRecord.from_row(row) for row in rows), key=_record_order)
+        return sorted(map(self._record, rows), key=_record_order)
 
     def max_tid(self, category: str = "query") -> int:
         # same charge as the seed's full scan (the *store* still pays the
@@ -258,7 +273,7 @@ class ProvTable:
     def peek_records(self) -> List[ProvRecord]:
         """All records without charging the clock (for tests/metrics)."""
         return sorted(
-            (ProvRecord.from_row(row) for _rid, row in self._table.scan()),
+            (self._record(row) for _rid, row in self._table.scan()),
             key=_record_order,
         )
 

@@ -119,9 +119,7 @@ class ProvenanceQueries:
             return record
         if not self.store.hierarchical:
             return None
-        for ancestor in position.ancestors():
-            if len(ancestor) < 1:
-                break
+        for ancestor in position.probe_chain()[1:]:
             record = cache.get((tid, ancestor))
             if record is None:
                 continue

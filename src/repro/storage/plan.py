@@ -533,7 +533,7 @@ def _probe_key_range(
 
 #: left rows per IndexNestedLoopJoin probe batch: large enough that the
 #: per-batch multi-range sweep amortizes its setup, small enough that a
-#: streaming left side is not fully materialized.  0 = one batch.
+#: streaming left side is not fully materialized.
 INLJ_CHUNK = 256
 
 
@@ -542,20 +542,20 @@ class IndexNestedLoopJoin(PlanNode):
     """Equi-join that probes an index of the right table with keys from
     the left input, instead of materializing the right side.
 
-    Left rows are batched into chunks (``chunk`` rows; ``0`` = one
-    batch).  Per chunk, the distinct non-NULL probe keys are evaluated
-    once; on an *ordered* index they become one presorted
+    Left rows are batched into chunks of ``chunk`` rows (at least 1).
+    Per chunk, the distinct non-NULL probe keys are evaluated once; on
+    an *ordered* index they become one presorted
     :meth:`Table.multi_range_scan` — a single sweep over the index per
     chunk, the same machinery behind ``IN`` lists — while a hash index
     takes one equality probe per distinct key.  ``left_exprs`` supply
     values for the index's leading columns; ``tail_low``/``tail_high``
     optionally push a static interval on the next index column into
-    every probe range (the provenance time-travel ``tid <= bound``
-    window).  ``residual`` is a right-table-only predicate applied to
-    probed rows before merging.
+    every probe range (a time-travel ``tid <= bound`` window, say).
+    ``residual`` is a right-table-only predicate applied to probed rows
+    before merging.
 
     Each probe batch increments ``table.access_counts["inlj_probe"]``,
-    extending the store's one-pass assertions to join probes.
+    so tests can assert how many batches a planner join issued.
     """
 
     left: PlanNode
@@ -569,6 +569,8 @@ class IndexNestedLoopJoin(PlanNode):
     chunk: int = INLJ_CHUNK
 
     def __post_init__(self) -> None:
+        if self.chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
         self._key_fn = _compile_key(self.left_exprs)
         self._residual_fn = (
             compile_expr(self.residual) if self.residual is not None else None
@@ -586,7 +588,7 @@ class IndexNestedLoopJoin(PlanNode):
         merger = _EnvMerger()
         left_iter = self.left.execute()
         while True:
-            batch = list(islice(left_iter, self.chunk) if self.chunk else left_iter)
+            batch = list(islice(left_iter, self.chunk))
             if not batch:
                 return
             groups: Dict[Tuple[Any, ...], List[Env]] = {}
@@ -619,8 +621,6 @@ class IndexNestedLoopJoin(PlanNode):
                                 continue
                             for left_env in envs:
                                 yield merger.merge(left_env, right_env)
-            if not self.chunk:
-                return
 
     def describe(self) -> str:
         probes = ", ".join(repr(expr) for expr in self.left_exprs)

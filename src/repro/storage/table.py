@@ -239,9 +239,9 @@ class Table:
         #: per row) — instrumentation for tests asserting e.g. that a
         #: batched probe really issues one index pass, and for the
         #: charged-cost vs wall-time split in the provenance harness.
-        #: ``inlj_probe`` counts physical probe batches issued by
-        #: ``IndexNestedLoopJoin`` against this table (one per chunk),
-        #: extending the one-pass assertions to join probes.
+        #: ``inlj_probe`` counts physical probe batches issued by a
+        #: planner ``IndexNestedLoopJoin`` against this table (one per
+        #: chunk).
         self.access_counts: Dict[str, int] = {
             "scan": 0,
             "eq_lookup": 0,

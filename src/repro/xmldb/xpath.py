@@ -160,25 +160,6 @@ class XPath:
 
         return evaluate_xpath(db, self)
 
-    def anchor_label(self) -> Optional[str]:
-        """The first concrete descendant-step label, or ``None``.
-
-        This is the label an element index can resolve to a candidate
-        node set (``//interaction`` → ``"interaction"``): every match of
-        the whole expression passes through a node carrying it.
-        Expressions without such a step (pure child paths, wildcard
-        descendants) have no index anchor and evaluate against the tree.
-
-        >>> XPath("molecules//interaction/partner").anchor_label()
-        'interaction'
-        >>> XPath("a/*/c").anchor_label() is None
-        True
-        """
-        for step in self.steps:
-            if step.descendant and step.label is not None:
-                return step.label
-        return None
-
     def matches(self, path: "Path | str") -> bool:
         """Structural match of a concrete path against the pattern
         (ignoring predicates — used by approximate provenance, where a

@@ -1,10 +1,16 @@
 """Unit and property tests for the path algebra."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.paths import Path, PathError, ROOT
+from repro.core.paths import _INTERN_LIMIT, Path, PathError, ROOT
+from repro.core.provenance import ProvRecord
+from repro.core.queries import TraceStep
 
 labels = st.text(alphabet="abcxyz123", min_size=1, max_size=4)
 paths = st.lists(labels, min_size=0, max_size=6).map(Path)
@@ -105,6 +111,13 @@ class TestAlgebra:
         ]
         assert list(p.ancestors(include_self=True))[0] == p
 
+    def test_probe_chain_stops_above_the_root(self):
+        assert ROOT.probe_chain() == (ROOT,)
+        assert Path.parse("a").probe_chain() == (Path.parse("a"),)
+        assert Path.parse("a/b/c").probe_chain() == (
+            Path.parse("a/b/c"), Path.parse("a/b"), Path.parse("a"),
+        )
+
     def test_equality_with_strings(self):
         assert Path.parse("a/b") == "a/b"
         assert not Path.parse("a/b") == "a/c"
@@ -136,3 +149,47 @@ class TestProperties:
     def test_ancestors_are_prefixes(self, p):
         for ancestor in p.ancestors():
             assert ancestor < p or (ancestor.is_root and p.is_root)
+
+    @given(paths)
+    def test_probe_chain_is_the_non_root_ancestor_chain(self, p):
+        chain = p.probe_chain()
+        assert isinstance(chain, tuple)
+        assert chain == (p,) + tuple(a for a in p.ancestors() if len(a) >= 1)
+        assert p.probe_chain() is chain
+
+
+class TestCopying:
+    """Paths are immutable, so a copy is the path itself and an unpickled
+    path is the interned one."""
+
+    def test_pickle_returns_the_interned_path(self):
+        for p in (Path.parse("T/c2/y"), Path(["built", "directly"])):
+            chain = p.probe_chain()
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                q = pickle.loads(pickle.dumps(p, protocol))
+                assert q is Path._intern(p.labels)
+                assert q.probe_chain() == chain
+        assert pickle.loads(pickle.dumps(ROOT)) is ROOT
+
+    def test_root_stays_interned_when_the_cache_overflows(self):
+        for n in range(_INTERN_LIMIT + 1):
+            Path._intern((f"overflow{n}",))
+        assert Path.parse("overflow/x").parent.parent is ROOT
+        assert pickle.loads(pickle.dumps(ROOT)) is ROOT
+
+    def test_copy_and_deepcopy_are_identity(self):
+        p = Path.parse("a/b")
+        assert copy.copy(p) is p
+        assert copy.deepcopy(p) is p
+        assert copy.deepcopy([p, {"k": p}]) == [p, {"k": p}]
+
+    def test_records_and_trace_steps_copy_and_convert(self):
+        record = ProvRecord(3, "C", Path.parse("T/x"), Path.parse("S/y"))
+        step = TraceStep(3, Path.parse("T/x"), record)
+        assert dataclasses.asdict(record) == {
+            "tid": 3, "op": "C", "loc": Path.parse("T/x"), "src": Path.parse("S/y"),
+        }
+        assert dataclasses.asdict(step)["record"]["src"] == Path.parse("S/y")
+        assert copy.deepcopy(step) == step
+        assert pickle.loads(pickle.dumps(step)) == step
+        assert pickle.loads(pickle.dumps(record)) == record

@@ -576,28 +576,41 @@ class TestIndexNestedLoopChunking:
     number of probe batches issued."""
 
     def test_chunked_probes_match_single_batch(self, join_db):
-        from repro.storage.plan import IndexNestedLoopJoin, SeqScan
+        from repro.storage.plan import INLJ_CHUNK, IndexNestedLoopJoin, SeqScan
         from repro.storage import Col
 
         tiny = join_db.table("tiny")
         fact = join_db.table("fact")
 
-        def rows(chunk):
+        def rows(**chunk):
             node = IndexNestedLoopJoin(
                 SeqScan(tiny, "t"), fact, "fact_id", (Col("t.id"),),
-                alias="f", chunk=chunk,
+                alias="f", **chunk,
             )
             return sorted(
                 (env["t.id"], env["f.val"]) for env in node.execute()
             )
 
+        assert tiny.row_count == 4 < INLJ_CHUNK
         before = dict(fact.access_counts)
-        single = rows(0)
+        single = rows()  # the default chunk: 4 driver rows -> 1 probe batch
         assert fact.access_counts["inlj_probe"] == before["inlj_probe"] + 1
         assert fact.access_counts["multi_range_scan"] == before["multi_range_scan"] + 1
-        chunked = rows(2)  # 4 driver rows -> 2 probe batches
+        chunked = rows(chunk=2)  # 4 driver rows -> 2 probe batches
         assert fact.access_counts["inlj_probe"] == before["inlj_probe"] + 3
+        assert fact.access_counts["multi_range_scan"] == before["multi_range_scan"] + 3
         assert chunked == single == [(1, "v1"), (3, "v3"), (5, "v5"), (7, "v7")]
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_is_rejected(self, join_db, chunk):
+        from repro.storage.plan import IndexNestedLoopJoin, SeqScan
+        from repro.storage import Col
+
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            IndexNestedLoopJoin(
+                SeqScan(join_db.table("tiny"), "t"), join_db.table("fact"),
+                "fact_id", (Col("t.id"),), alias="f", chunk=chunk,
+            )
 
 
 class TestJoinSQL:
