@@ -32,8 +32,8 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from repro.storage import Database, ServerClient, ThreadedServer
-from repro.storage.server import AsyncServerClient
+from repro.storage import Database
+from repro.storage.server import AsyncServerClient, ServerClient, ThreadedServer
 from repro.workloads.concurrent import (
     check_snapshot_isolation,
     curator_batches,

@@ -878,7 +878,7 @@ def test_compiled_filter():
 
 
 def test_plan_cache_repeat_qps():
-    """End-to-end repeated-query throughput through ``Database.execute``:
+    """End-to-end repeated-query throughput through ``QueryEngine.execute``:
     one query shape, literals drawn from a Table-2 update-pattern script
     (the curation workload's access pattern — the same provenance
     locations probed again and again as transactions revisit a working
@@ -887,6 +887,7 @@ def test_plan_cache_repeat_qps():
     the ``plan_cache_size=0`` baseline re-plans with live statistics on
     every call.  Gate: cached throughput >= 2x uncached."""
     from repro.storage.db import Database
+    from repro.storage.query import QueryEngine
     from repro.workloads.patterns import generate_pattern
     from repro.workloads.synth import (
         mimi_like_tree,
@@ -923,7 +924,7 @@ def test_plan_cache_repeat_qps():
     )
 
     def build(plan_cache_size):
-        db = Database("qps", plan_cache_size=plan_cache_size)
+        db = Database("qps")
         table = db.create_table(schema)
         rng = random.Random(61)
         batch = [
@@ -931,7 +932,7 @@ def test_plan_cache_repeat_qps():
             for i in range(rows)
         ]
         table.bulk_insert(batch)
-        return db
+        return QueryEngine(db, plan_cache_size=plan_cache_size)
 
     def make_query(loc):
         return Query(

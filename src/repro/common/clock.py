@@ -92,14 +92,10 @@ class CostModel:
         """One query round trip scanning ``rows_scanned`` rows."""
         return self.round_trip_ms + self.scan_row_ms * rows_scanned
 
-    # Backwards-compatible generic round trip used by StoreClient.
-    def round_trip_cost(self, rows: int = 0) -> float:
-        return self.round_trip_ms + self.stmt_row_ms * rows
-
     def failed_round_trip_cost(self, rows: int = 0) -> float:
         """A round trip that times out: the client still marshalled and
         sent the request, then waited out the timeout."""
-        return self.round_trip_cost(rows) + self.retry_timeout_ms
+        return self.statement_write_cost(rows) + self.retry_timeout_ms
 
 
 class VirtualClock:

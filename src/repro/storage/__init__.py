@@ -1,27 +1,21 @@
 """An embedded relational engine: the reproduction's MySQL substitute.
 
-Public surface:
+This package front exports the **storage kernel** only: :class:`Database`
+(catalog, transactions, rowid DML, WAL durability and recovery),
+:class:`Table`, the DDL objects, :class:`RecoveryReport` and the typed
+errors; snapshots are in :mod:`repro.storage.snapshot`.  The paper's
+provenance store uses nothing else.
 
-* :class:`Database` — catalog, transactions, WAL durability;
-* :class:`TableSchema` / :class:`Column` / :class:`IndexSpec` — DDL objects;
-* :func:`execute_sql` — the SQL subset;
-* :class:`Query` and the expression AST — programmatic queries;
-* :class:`StoreClient` — round-trip-accounted connection used by the
-  provenance stores and the benchmark harness, with a retrying
-  transport (:class:`Transport` / :class:`FlakyTransport` /
-  :class:`RetryPolicy`);
-* durability: ``save_snapshot`` / ``load_snapshot`` / ``checkpoint``
-  (in :mod:`repro.storage.snapshot`), :class:`RecoveryReport`, and the
-  typed corruption errors :class:`WALCorruptionError` /
-  :class:`TransientNetworkError`;
-* concurrency: :class:`MVCCManager` / :class:`MVCCTransaction` —
-  snapshot-isolation MVCC with first-committer-wins conflicts
-  (:class:`WriteConflictError`) — and the asyncio front-end
-  :class:`DatabaseServer` / :class:`ThreadedServer` with its batched
-  clients :class:`ServerClient` / :class:`AsyncServerClient`.
+The **query layer** above it is imported from its own modules, and no
+kernel module imports it: :mod:`~repro.storage.query` (``Query`` and
+``QueryEngine``: planning, the plan cache, EXPLAIN and predicate DML
+over a ``Database``), :mod:`~repro.storage.expr`,
+:mod:`~repro.storage.plan`, :mod:`~repro.storage.sql`,
+:mod:`~repro.storage.mvcc`, :mod:`~repro.storage.server` and
+:mod:`~repro.storage.client` (``StoreClient``, which the tests use to pin
+the cost model's round-trip and failure charges).
 """
 
-from .client import FlakyTransport, RetryPolicy, StoreClient, Transport
 from .db import Database
 from .errors import (
     AmbiguousColumnError,
@@ -38,59 +32,19 @@ from .errors import (
     WALError,
     WriteConflictError,
 )
-from .expr import (
-    And,
-    Cmp,
-    Col,
-    Concat,
-    Const,
-    InList,
-    IsNull,
-    Not,
-    Or,
-    PrefixMatch,
-)
-from .mvcc import MVCCManager, MVCCTransaction
-from .query import JoinSpec, Query, TableRef
-from .server import (
-    AsyncServerClient,
-    DatabaseServer,
-    ServerClient,
-    ThreadedServer,
-)
 from .schema import Column, IndexSpec, TableSchema
-from .sql import PreparedStatement, execute_sql
 from .table import Table
 from .types import ColumnType
 from .wal import RecoveryReport
 
 __all__ = [
     "Database",
-    "StoreClient",
-    "Transport",
-    "FlakyTransport",
-    "RetryPolicy",
     "RecoveryReport",
     "Table",
     "TableSchema",
     "Column",
     "IndexSpec",
     "ColumnType",
-    "Query",
-    "TableRef",
-    "JoinSpec",
-    "execute_sql",
-    "PreparedStatement",
-    "And",
-    "Cmp",
-    "Col",
-    "Concat",
-    "Const",
-    "InList",
-    "IsNull",
-    "Not",
-    "Or",
-    "PrefixMatch",
     "StorageError",
     "AmbiguousColumnError",
     "SchemaError",
@@ -104,10 +58,4 @@ __all__ = [
     "WALError",
     "WALCorruptionError",
     "TransientNetworkError",
-    "MVCCManager",
-    "MVCCTransaction",
-    "DatabaseServer",
-    "ThreadedServer",
-    "ServerClient",
-    "AsyncServerClient",
 ]

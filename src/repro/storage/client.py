@@ -45,7 +45,7 @@ from ..common.clock import CostModel, VirtualClock
 from .db import Database
 from .errors import TransientNetworkError
 from .expr import Expr
-from .query import Query
+from .query import Query, QueryEngine
 from .sql import execute_sql
 
 __all__ = ["StoreClient", "Transport", "FlakyTransport", "RetryPolicy"]
@@ -136,6 +136,8 @@ class StoreClient:
         retry_seed: int = 0,
     ) -> None:
         self.db = db
+        #: server-side planning, SQL and predicate DML over ``db``
+        self.engine = QueryEngine(db)
         self.clock = clock if clock is not None else VirtualClock()
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.category = category
@@ -156,7 +158,7 @@ class StoreClient:
     def _charge(self, operation: str, rows: int) -> None:
         """Charge one *successful* round trip to the virtual clock."""
         self.clock.charge(
-            f"{self.category}.{operation}", self.cost_model.round_trip_cost(rows)
+            f"{self.category}.{operation}", self.cost_model.statement_write_cost(rows)
         )
 
     def _next_key(self, op: str) -> str:
@@ -238,7 +240,7 @@ class StoreClient:
 
     def execute(self, query: Query) -> List[Dict[str, Any]]:
         # reads are naturally idempotent: retried without a key
-        rows = self._call("select", lambda: self.db.execute(query))
+        rows = self._call("select", lambda: self.engine.execute(query))
         self._charge("select", len(rows))
         return rows
 
@@ -246,7 +248,7 @@ class StoreClient:
         # the SQL subset includes mutations, so statements carry a key
         rows = self._call(
             "sql",
-            lambda: execute_sql(self.db, statement),
+            lambda: execute_sql(self.engine, statement),
             key=self._next_key("sql"),
         )
         self._charge("sql", len(rows))
@@ -254,13 +256,13 @@ class StoreClient:
 
     def delete_where(self, table: str, predicate: Optional[Expr] = None) -> int:
         """One round trip; victims are enumerated server-side through
-        the planner's access paths (:meth:`Database.delete_where`), so
+        the planner's access paths (:meth:`QueryEngine.delete_where`), so
         an indexable predicate no longer full-scans — the *charged*
         round-trip cost is unchanged, only the wall-time side of the
         charged-cost/wall-time split shrinks."""
         affected = self._call(
             "delete",
-            lambda: self.db.delete_where(table, predicate),
+            lambda: self.engine.delete_where(table, predicate),
             key=self._next_key("delete"),
         )
         self._charge("delete", affected)
@@ -273,7 +275,7 @@ class StoreClient:
         :meth:`delete_where`."""
         affected = self._call(
             "update",
-            lambda: self.db.update_where(table, changes, predicate),
+            lambda: self.engine.update_where(table, changes, predicate),
             key=self._next_key("update"),
         )
         self._charge("update", affected)

@@ -1,10 +1,14 @@
-"""The embedded database: catalog, transactions, WAL, and query execution.
+"""The storage kernel's database: catalog, transactions, rowid DML and
+the WAL.
 
 This is the reproduction's MySQL substitute.  It holds the provenance
 store and the relational source database (the OrganelleDB stand-in).
 Transactions provide atomicity via an undo list and durability via the
 write-ahead log; ``Database.recover`` rebuilds table contents from the log
-after a simulated crash.
+after a simulated crash.  It knows rows, not plans: predicate DML,
+planning, the plan cache and SQL live in the query layer above it
+(:class:`repro.storage.query.QueryEngine`), which imports this module and
+never the reverse.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -28,9 +31,6 @@ from .errors import (
     UnknownTableError,
     WALError,
 )
-from .expr import Expr
-from .plan import PlanNode, TableScanNode, explain as explain_plan
-from .query import PlanCache, Query, mutation_victims, plan_mutation, plan_query
 from .schema import TableSchema
 from .table import Table
 from .wal import (
@@ -46,9 +46,6 @@ from .wal import (
     WriteAheadLog,
     coalesce_replay,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle with sql.py
-    from .sql import PreparedStatement
 
 __all__ = ["Database"]
 
@@ -76,21 +73,14 @@ class Database:
         wal_dir: Optional[str] = None,
         *,
         faults=None,
-        plan_cache_size: int = 128,
     ) -> None:
         self.name = name
         self.tables: Dict[str, Table] = {}
         #: fault-injection plan shared with the WAL and the MVCC layer's
         #: commit protocol (``None`` means no faults)
         self.faults = faults
-        #: cached physical plans keyed on (query shape, literals, stats
-        #: epoch) — see :class:`repro.storage.query.PlanCache`.
-        #: ``plan_cache_size=0`` disables caching (every ``plan`` call
-        #: re-plans with live statistics — the benchmark baseline).
-        self.plan_cache: Optional[PlanCache] = (
-            PlanCache(plan_cache_size) if plan_cache_size > 0 else None
-        )
-        #: catalog DDL counter folded into every plan-cache epoch: a
+        #: catalog version, moved by every create/drop; the query
+        #: layer folds it into each plan-cache epoch, because a
         #: dropped-and-recreated table could otherwise coincide with a
         #: stale entry's (name, version) and serve plans bound to the
         #: *old* Table object
@@ -351,149 +341,34 @@ class Database:
             self._log(KIND_INSERT, table_name, new)
         return applied
 
-    def delete_rowid(self, table_name: str, rowid: int) -> Tuple[Any, ...]:
-        """Transactionally delete one row *by row id*; returns the row.
+    def delete_rowids(
+        self, table_name: str, rowids: Sequence[int]
+    ) -> List[Tuple[int, Tuple[Any, ...]]]:
+        """Transactionally delete rows *by row id*; returns ``(rowid,
+        row)`` pairs.
 
-        The MVCC commit protocol replays a transaction's buffered writes
-        against the base tables and already knows exactly which row each
-        one targets — predicate re-evaluation (:meth:`delete_where`)
-        would be wasted work and, worse, could match rows committed
-        after the victim was chosen.  Undo and WAL bookkeeping are
-        identical to a one-victim ``delete_where``.
-        """
-        table = self.table(table_name)
-        removed = self._statement(lambda: self._delete_rows(table, [rowid]))
-        return removed[0][1]
-
-    def update_rowid(
-        self, table_name: str, rowid: int, changes: Dict[str, Any]
-    ) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
-        """Transactionally update one row *by row id*; returns
-        ``(old, new)``.  Companion of :meth:`delete_rowid` for MVCC
-        commit replay, with the bookkeeping of one ``update_where``
-        victim."""
-        table = self.table(table_name)
-        ((_rowid, old, new),) = self._statement(
-            lambda: self._update_rows(table, [rowid], changes)
-        )
-        return old, new
-
-    def delete_where(
-        self, table_name: str, predicate: Optional[Expr] = None, *, naive: bool = False
-    ) -> int:
-        """Delete matching rows; returns the count.
-
-        Victims are enumerated through the planner
-        (:func:`~repro.storage.query.mutation_victims`): an indexable
-        predicate probes the same access paths a SELECT with this WHERE
-        clause would — IN lists ride the multi-range union — instead of
-        paying a raw full scan.  ``naive=True`` forces the full-scan
-        oracle (the differential DML tests).  The statement is atomic
+        The kernel's one delete entry.  The query layer's
+        ``delete_where`` picks the victims with its planner and calls
+        this; the MVCC commit protocol replays a transaction's buffered
+        deletes through it, because it already knows exactly which row
+        each one targets (re-evaluating a predicate could match rows
+        committed after the victim was chosen).  The statement is atomic
         (see :meth:`_delete_rows`).
         """
         table = self.table(table_name)
-        doomed = mutation_victims(table, predicate, naive=naive)
-        return len(self._statement(lambda: self._delete_rows(table, doomed)))
+        return self._statement(lambda: self._delete_rows(table, rowids))
 
-    def update_where(
-        self,
-        table_name: str,
-        changes: Dict[str, Any],
-        predicate: Optional[Expr] = None,
-        *,
-        naive: bool = False,
-    ) -> int:
-        """Update matching rows (modeled as delete+insert in the WAL).
-
-        Victim enumeration is planner-routed exactly like
-        :meth:`delete_where`.  The statement is atomic (see
-        :meth:`_update_rows`): a failure leaves the transaction — and,
-        for implicit transactions, the table — exactly as before the
-        call.
-        """
+    def update_rowids(
+        self, table_name: str, rowids: Sequence[int], changes: Dict[str, Any]
+    ) -> List[Tuple[int, Tuple[Any, ...], Tuple[Any, ...]]]:
+        """Transactionally apply ``changes`` to rows *by row id*; returns
+        ``(rowid, old, new)`` triples.  The update twin of
+        :meth:`delete_rowids`, logged as delete+insert pairs.  The
+        statement is atomic (see :meth:`_update_rows`): a failure leaves
+        the transaction, and for an implicit one the table, exactly as
+        before the call."""
         table = self.table(table_name)
-        victims = mutation_victims(table, predicate, naive=naive)
-        return len(self._statement(lambda: self._update_rows(table, victims, changes)))
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def _stats_epoch(self, query: Query) -> Tuple[Any, ...]:
-        """The plan-cache epoch for every table ``query`` touches:
-        the catalog DDL counter plus, per table, its ``_version``
-        mutation counter and index-spec fingerprint.  Any insert,
-        delete, update, ``create_index``, or drop/recreate moves some
-        component, so stale cache entries can never match."""
-        names = {query.table.name}
-        names.update(join.table.name for join in query.joins)
-        parts: List[Tuple[Any, ...]] = []
-        for name in sorted(names):
-            table = self.table(name)
-            fingerprint = tuple(sorted(table.index_specs.items()))
-            parts.append((name, table._version, fingerprint))
-        return (self._ddl_epoch, tuple(parts))
-
-    def plan(self, query: Query, *, naive: bool = False) -> PlanNode:
-        """The physical plan for ``query``; ``naive=True`` forces the
-        rule-free SeqScan+Sort oracle plan (differential testing).
-
-        Non-naive plans go through the plan cache: an exact repeat
-        (same shape, same literals, same stats epoch) returns the
-        cached plan with no planning work at all; a same-shape repeat
-        with new literals re-costs against the cached statistics
-        snapshot without sampling the tables."""
-        if naive or self.plan_cache is None:
-            return plan_query(self.tables, query, naive=naive)
-        return self.plan_cache.plan(self.tables, query, self._stats_epoch(query))
-
-    def plan_mutation(
-        self, table_name: str, predicate: Optional[Expr] = None, *, naive: bool = False
-    ) -> "Tuple[TableScanNode, Optional[Expr]]":
-        """The access path + residual filter ``delete_where`` /
-        ``update_where`` would use for ``predicate`` — EXPLAIN-style
-        inspection for planned DML (see
-        :func:`~repro.storage.query.plan_mutation`)."""
-        return plan_mutation(self.table(table_name), predicate, naive=naive)
-
-    def explain(
-        self,
-        query: Query,
-        *,
-        naive: bool = False,
-        estimates: bool = False,
-        cache_status: bool = False,
-    ) -> str:
-        """EXPLAIN: the plan for ``query`` rendered as indented text.
-
-        ``estimates=True`` appends the planner's estimated row count to
-        every access path and join operator (``est_rows=N``) — the
-        figures the cost model ranked candidates and join orders by, so
-        a surprising plan can be traced to the estimate that caused it.
-        ``cache_status=True`` prefixes a ``plan cache: hit|shape_hit|
-        miss`` line reporting how this very call resolved.  The default
-        output matches :func:`repro.storage.plan.explain` exactly
-        (snapshot-stable across estimator changes).
-        """
-        rendered = explain_plan(self.plan(query, naive=naive), estimates=estimates)
-        if cache_status and not naive and self.plan_cache is not None:
-            rendered = f"plan cache: {self.plan_cache.last_lookup}\n{rendered}"
-        return rendered
-
-    def execute(self, query: Query) -> List[Dict[str, Any]]:
-        return list(self.plan(query).execute())
-
-    def prepare(self, sql: str) -> "PreparedStatement":
-        """Parse a SQL statement once for repeated execution.
-
-        ``?`` placeholders mark bind positions; each ``execute(params)``
-        substitutes values and runs through the plan cache, so repeated
-        executions skip parsing entirely and planning re-samples no
-        table statistics (same shape ⇒ cached stats snapshot; same
-        values ⇒ the whole cached plan).
-        """
-        from .sql import PreparedStatement  # deferred: sql.py imports db.py
-
-        return PreparedStatement(self, sql)
+        return self._statement(lambda: self._update_rows(table, rowids, changes))
 
     # ------------------------------------------------------------------
     # Durability
@@ -584,20 +459,10 @@ class Database:
     # Statistics
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-table row/byte figures plus the plan cache's counters
-        under the reserved ``"plan_cache"`` key (hits / shape_hits /
-        misses / invalidations; all zero when caching is disabled).
+        """Per-table row/byte figures.
 
         Each table's pair comes from :meth:`Table.stats_snapshot`, so a
         reader interleaved with an active writer (the asyncio server
         answering ``stats`` between a peer's mutations) sees a
         consistent point-in-time pair, never a torn one."""
-        out: Dict[str, Dict[str, int]] = {
-            name: table.stats_snapshot() for name, table in self.tables.items()
-        }
-        out["plan_cache"] = (
-            dict(self.plan_cache.counters)
-            if self.plan_cache is not None
-            else {"hits": 0, "shape_hits": 0, "misses": 0, "invalidations": 0}
-        )
-        return out
+        return {name: table.stats_snapshot() for name, table in self.tables.items()}

@@ -35,8 +35,10 @@ version store:
   sets) is *allowed* — that is snapshot isolation, not serializability,
   and the anomaly suite pins it down as documented behavior.
 
-Plan caching stays valid per snapshot because the cache's epoch gains
-two dimensions here: a ``("mvcc", S)`` component and, per table, a
+Each manager plans through its own
+:class:`~repro.storage.query.QueryEngine` (``manager.engine``), and plan
+caching stays valid per snapshot because the cache's epoch gains two
+dimensions here: a ``("mvcc", S)`` component and, per table, a
 token unique to each materialized shadow (``0`` for the live table), so
 a plan bound to one snapshot's shadow can never be served against
 another's — even when their ``_version`` counters coincide.
@@ -66,7 +68,14 @@ from .errors import (
 )
 from .expr import Expr
 from .plan import PlanNode
-from .query import Query, mutation_victims, plan_query
+from .query import Query, QueryEngine, mutation_victims
+from .sql import (
+    CreateIndexStmt,
+    CreateTableStmt,
+    DropTableStmt,
+    _run_statement,
+    parse_statement,
+)
 from .table import Table
 
 __all__ = ["MVCCManager", "MVCCTransaction", "CommitRecord"]
@@ -95,12 +104,14 @@ class MVCCManager:
     """Snapshot-isolation coordinator for one :class:`Database`.
 
     Owns the commit timestamp, the commit log (the version store), the
-    snapshot-view cache, and the active-transaction registry that
-    bounds how much history must be retained.
+    snapshot-view cache, the active-transaction registry that bounds how
+    much history must be retained, and the :class:`QueryEngine` whose
+    plan cache its transactions plan through.
     """
 
     def __init__(self, db: Database, *, faults=None) -> None:
         self.db = db
+        self.engine = QueryEngine(db)
         #: fault-injection plan for the commit protocol's crash points
         #: (``mvcc.commit.begin`` / ``mvcc.commit.mid`` /
         #: ``mvcc.commit.apply``); defaults to the database's own plan
@@ -298,12 +309,12 @@ class MVCCManager:
                         ) from exc
                 elif kind == "delete":
                     _kind, name, rowid = op
-                    db.delete_rowid(name, remap.get((name, rowid), rowid))
+                    db.delete_rowids(name, [remap.get((name, rowid), rowid)])
                 else:  # update
                     _kind, name, rowid, changes = op
                     try:
-                        db.update_rowid(
-                            name, remap.get((name, rowid), rowid), changes
+                        db.update_rowids(
+                            name, [remap.get((name, rowid), rowid)], changes
                         )
                     except DuplicateKeyError as exc:
                         self.counters["conflicts"] += 1
@@ -452,15 +463,16 @@ class MVCCTransaction:
 
     def plan(self, query: Query) -> PlanNode:
         """Physical plan for ``query`` over this snapshot, through the
-        database's plan cache with the MVCC-extended epoch."""
+        manager's plan cache with the MVCC-extended epoch."""
         self._check_active()
-        db = self.manager.db
+        manager = self.manager
         names = [query.table.name] + [join.table.name for join in query.joins]
-        tables = {name: self._view(name) for name in db.tables}
-        if db.plan_cache is None:
-            return plan_query(tables, query)
-        epoch = self.manager._plan_epoch(self.snapshot_ts, tables, names)
-        return db.plan_cache.plan(tables, query, epoch)
+        tables = {name: self._view(name) for name in manager.db.tables}
+        return manager.engine.cached_plan(
+            tables,
+            query,
+            lambda: manager._plan_epoch(self.snapshot_ts, tables, names),
+        )
 
     def execute(self, query: Query) -> List[Dict[str, Any]]:
         return list(self.plan(query).execute())
@@ -524,14 +536,6 @@ class MVCCTransaction:
         DML and SELECT observe the snapshot; DDL is not versioned and is
         rejected here — run it via the database in autocommit instead.
         """
-        from .sql import (  # deferred: sql.py imports db.py
-            CreateIndexStmt,
-            CreateTableStmt,
-            DropTableStmt,
-            _run_statement,
-            parse_statement,
-        )
-
         self._check_active()
         statement = parse_statement(text)
         if isinstance(statement, (CreateTableStmt, CreateIndexStmt, DropTableStmt)):

@@ -73,7 +73,7 @@ class TableScanNode(PlanNode):
 
     Subclasses implement :meth:`rows` — ``(rowid, row)`` pairs straight
     off the table — and inherit :meth:`execute`.  Keeping the row-id
-    stream public lets DML (``Database.delete_where`` /
+    stream public lets DML (``QueryEngine.delete_where`` /
     ``update_where``) enumerate victims through the same planned access
     paths a SELECT would use instead of a raw heap scan.
     """

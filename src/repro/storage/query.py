@@ -51,8 +51,20 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import log2
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from .db import Database
 from .errors import UnknownTableError
 from .expr import (
     And,
@@ -89,11 +101,17 @@ from .plan import (
     SortNode,
     TableScanNode,
     _probe_key_range,
+    explain as explain_plan,
 )
+from .schema import TableSchema
 from .table import IndexStats, Table
 from .types import ColumnType
 
+if TYPE_CHECKING:  # pragma: no cover - sql.py imports this module
+    from .sql import PreparedStatement
+
 __all__ = [
+    "QueryEngine",
     "TableRef",
     "JoinSpec",
     "Query",
@@ -342,7 +360,7 @@ class PlanCache:
       recorded statistics instead of sampling the tables, then caches
       the resulting plan under its own literals.
 
-    The epoch (built by ``Database._stats_epoch``) covers every involved
+    The epoch (built by ``QueryEngine._stats_epoch``) covers every involved
     table's ``_version`` mutation counter and index-spec fingerprint
     plus a catalog DDL counter, so any mutation, index DDL, or
     drop/recreate invalidates lazily on the next lookup.  Counters:
@@ -368,10 +386,6 @@ class PlanCache:
         #: outcome of the most recent :meth:`plan` call — EXPLAIN's
         #: cache annotation reads this
         self.last_lookup: str = "miss"
-
-    def clear(self) -> None:
-        self._plans.clear()
-        self._snapshots.clear()
 
     def plan(
         self, tables: Dict[str, Table], query: Query, epoch: Tuple[Any, ...]
@@ -2191,7 +2205,7 @@ def plan_mutation(
 ) -> Tuple[TableScanNode, Optional[Expr]]:
     """Compile a DML predicate to an access path plus residual filter.
 
-    The planner's entry point for ``Database.delete_where`` /
+    The planner's entry point for ``QueryEngine.delete_where`` /
     ``update_where``: victim enumeration runs the returned node's
     ``rows()`` stream of ``(rowid, row)`` pairs — probing the same
     indexes a SELECT with this WHERE clause would — and applies the
@@ -2234,3 +2248,185 @@ def mutation_victims(
         return [rowid for rowid, _row in node.rows()]
     as_dict = table.schema.row_as_dict
     return [rowid for rowid, row in node.rows() if residual.eval(as_dict(row))]
+
+
+# ----------------------------------------------------------------------
+# The query layer's entry over one storage-kernel Database
+# ----------------------------------------------------------------------
+
+
+class QueryEngine:
+    """Planning, the plan cache, EXPLAIN, SQL and predicate DML over one
+    storage-kernel :class:`~repro.storage.db.Database` (rows,
+    transactions, rowid DML, the WAL), which knows nothing of plans.
+
+    Owns the :class:`PlanCache` and its stats epoch;
+    ``plan_cache_size=0`` disables caching (every ``plan`` call re-plans
+    with live statistics, the benchmark baseline).  Its statement
+    surface is the one :class:`~repro.storage.mvcc.MVCCTransaction` has,
+    so :func:`repro.storage.sql.execute_sql` serves both.
+    """
+
+    def __init__(self, db: Database, *, plan_cache_size: int = 128) -> None:
+        self.db = db
+        self.plan_cache: Optional[PlanCache] = (
+            PlanCache(plan_cache_size) if plan_cache_size > 0 else None
+        )
+
+    # the kernel calls a SQL statement makes
+    def table(self, name: str) -> Table:
+        return self.db.table(name)
+
+    def create_table(self, schema: TableSchema) -> Table:
+        return self.db.create_table(schema)
+
+    def drop_table(self, name: str) -> None:
+        self.db.drop_table(name)
+
+    def insert(self, table_name: str, row: "Sequence[Any] | Dict[str, Any]") -> int:
+        return self.db.insert(table_name, row)
+
+    # ------------------------------------------------------------------
+    # Planning
+    # ------------------------------------------------------------------
+    def cached_plan(
+        self,
+        tables: Dict[str, Table],
+        query: Query,
+        epoch: Callable[[], Tuple[Any, ...]],
+    ) -> PlanNode:
+        """Plan ``query`` over ``tables`` through the plan cache: the one
+        cached-planning path.  :meth:`plan` passes the live tables with
+        :meth:`_stats_epoch`, an MVCC transaction its snapshot's tables
+        with a snapshot epoch; ``epoch`` is called only when caching is
+        on.  An exact repeat (same shape, literals and epoch) returns
+        the cached plan; a same-shape repeat with new literals re-costs
+        against the cached statistics snapshot without sampling."""
+        if self.plan_cache is None:
+            return plan_query(tables, query)
+        return self.plan_cache.plan(tables, query, epoch())
+
+    def _stats_epoch(self, query: Query) -> Tuple[Any, ...]:
+        """The plan-cache epoch for every table ``query`` touches:
+        the kernel's catalog version plus, per table, its ``_version``
+        mutation counter and index-spec fingerprint.  Any insert,
+        delete, update, ``create_index``, or drop/recreate moves some
+        component, so stale cache entries can never match."""
+        names = {query.table.name}
+        names.update(join.table.name for join in query.joins)
+        parts: List[Tuple[Any, ...]] = []
+        for name in sorted(names):
+            table = self.db.table(name)
+            fingerprint = tuple(sorted(table.index_specs.items()))
+            parts.append((name, table._version, fingerprint))
+        return (self.db._ddl_epoch, tuple(parts))
+
+    def plan(self, query: Query, *, naive: bool = False) -> PlanNode:
+        """The physical plan for ``query``; ``naive=True`` forces the
+        rule-free SeqScan+Sort oracle plan (differential testing), which
+        bypasses the cache."""
+        if naive:
+            return plan_query(self.db.tables, query, naive=True)
+        return self.cached_plan(self.db.tables, query, lambda: self._stats_epoch(query))
+
+    def plan_mutation(
+        self, table_name: str, predicate: Optional[Expr] = None, *, naive: bool = False
+    ) -> Tuple[TableScanNode, Optional[Expr]]:
+        """The access path + residual filter ``delete_where`` /
+        ``update_where`` would use for ``predicate``: EXPLAIN-style
+        inspection for planned DML (see :func:`plan_mutation`)."""
+        return plan_mutation(self.db.table(table_name), predicate, naive=naive)
+
+    def explain(
+        self,
+        query: Query,
+        *,
+        naive: bool = False,
+        estimates: bool = False,
+        cache_status: bool = False,
+    ) -> str:
+        """EXPLAIN: the plan for ``query`` rendered as indented text.
+
+        ``estimates=True`` appends the planner's estimated row count to
+        every access path and join operator (``est_rows=N``) — the
+        figures the cost model ranked candidates and join orders by, so
+        a surprising plan can be traced to the estimate that caused it.
+        ``cache_status=True`` prefixes a ``plan cache: hit|shape_hit|
+        miss`` line reporting how this very call resolved.  The default
+        output matches :func:`repro.storage.plan.explain` exactly
+        (snapshot-stable across estimator changes).
+        """
+        rendered = explain_plan(self.plan(query, naive=naive), estimates=estimates)
+        if cache_status and not naive and self.plan_cache is not None:
+            rendered = f"plan cache: {self.plan_cache.last_lookup}\n{rendered}"
+        return rendered
+
+    # ------------------------------------------------------------------
+    # Statements
+    # ------------------------------------------------------------------
+    def execute(self, query: Query) -> List[Dict[str, Any]]:
+        return list(self.plan(query).execute())
+
+    def prepare(self, sql: str) -> "PreparedStatement":
+        """Parse a SQL statement once for repeated execution.
+
+        ``?`` placeholders mark bind positions; each ``execute(params)``
+        substitutes values and runs through the plan cache, so repeated
+        executions skip parsing entirely and planning re-samples no
+        table statistics (same shape ⇒ cached stats snapshot; same
+        values ⇒ the whole cached plan).
+        """
+        from .sql import PreparedStatement  # deferred: sql.py imports this module
+
+        return PreparedStatement(self, sql)
+
+    def delete_where(
+        self, table_name: str, predicate: Optional[Expr] = None, *, naive: bool = False
+    ) -> int:
+        """Delete matching rows; returns the count.
+
+        Victims are enumerated through the planner
+        (:func:`mutation_victims`): an indexable predicate probes the
+        same access paths a SELECT with this WHERE clause would — IN
+        lists ride the multi-range union — instead of paying a raw full
+        scan.  ``naive=True`` forces the full-scan oracle (the
+        differential DML tests).  The kernel's
+        :meth:`~repro.storage.db.Database.delete_rowids` then deletes
+        them as one atomic statement.
+        """
+        victims = mutation_victims(self.db.table(table_name), predicate, naive=naive)
+        return len(self.db.delete_rowids(table_name, victims))
+
+    def update_where(
+        self,
+        table_name: str,
+        changes: Dict[str, Any],
+        predicate: Optional[Expr] = None,
+        *,
+        naive: bool = False,
+    ) -> int:
+        """Update matching rows (modeled as delete+insert in the WAL).
+
+        Victim enumeration is planner-routed exactly like
+        :meth:`delete_where`; the kernel's
+        :meth:`~repro.storage.db.Database.update_rowids` applies the
+        changes atomically: a failure leaves the transaction — and, for
+        implicit transactions, the table — exactly as before the call.
+        """
+        victims = mutation_victims(self.db.table(table_name), predicate, naive=naive)
+        return len(self.db.update_rowids(table_name, victims, changes))
+
+    # ------------------------------------------------------------------
+    # Statistics
+    # ------------------------------------------------------------------
+    def stats(self) -> Dict[str, Dict[str, int]]:
+        """The kernel's per-table figures plus the plan cache's counters
+        under the reserved ``"plan_cache"`` key (hits / shape_hits /
+        misses / invalidations; all zero when caching is disabled)."""
+        out = self.db.stats()
+        out["plan_cache"] = (
+            dict(self.plan_cache.counters)
+            if self.plan_cache is not None
+            else {"hits": 0, "shape_hits": 0, "misses": 0, "invalidations": 0}
+        )
+        return out

@@ -51,6 +51,7 @@ from . import errors as _errors
 from .db import Database
 from .errors import StorageError, TransactionError
 from .mvcc import MVCCManager, MVCCTransaction
+from .sql import execute_sql
 
 __all__ = [
     "DatabaseServer",
@@ -233,7 +234,7 @@ class DatabaseServer:
             txn.rollback()
             return {}
         if kind == "stats":
-            return self.db.stats()
+            return self.manager.engine.stats()
         if kind == "mvcc_counters":
             return dict(self.manager.counters)
 
@@ -270,9 +271,7 @@ class DatabaseServer:
                         "DDL is not snapshot-versioned; run it on a "
                         "connection with no open transaction"
                     )
-                from .sql import execute_sql  # deferred: sql.py imports db.py
-
-                return execute_sql(self.db, text)
+                return execute_sql(self.manager.engine, text)
             return txn.sql(text)
         raise TransactionError(f"unknown operation {kind!r}")
 

@@ -21,7 +21,7 @@ indexes), and ``[NOT] LIKE 'prefix%'`` (prefix patterns only — the
 shape provenance queries need).  This is intentionally a subset: enough
 to use the engine the way CPDB used MySQL, with readable tests.
 
-``Database.prepare(sql)`` parses a statement once with ``?``
+``QueryEngine.prepare(sql)`` parses a statement once with ``?``
 placeholders in literal positions and returns a
 :class:`PreparedStatement` whose ``execute(params)`` binds values and
 runs through the plan cache — no re-parse, no statistics re-sampling.
@@ -34,7 +34,6 @@ import re
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from .db import Database
 from .errors import SQLError
 from .expr import (
     And,
@@ -48,7 +47,7 @@ from .expr import (
     Or,
     PrefixMatch,
 )
-from .query import JoinSpec, Query, TableRef
+from .query import JoinSpec, Query, QueryEngine, TableRef
 from .schema import Column, IndexSpec, TableSchema
 from .types import ColumnType
 
@@ -706,19 +705,19 @@ class PreparedStatement:
     ``?`` placeholders mark literal positions (predicates, IN lists,
     BETWEEN bounds, LIKE patterns, INSERT values, UPDATE assignments).
     Each :meth:`execute` substitutes the bound values and runs through
-    the database's plan cache: the query *shape* is stable across
+    the engine's plan cache: the query *shape* is stable across
     executions, so repeated runs reuse the cached planner-statistics
     snapshot (or the whole plan, when values repeat) instead of
     re-parsing and re-sampling.
     """
 
-    def __init__(self, db: Database, sql: str) -> None:
+    def __init__(self, engine: QueryEngine, sql: str) -> None:
         parser = _Parser(_tokenize(sql), allow_params=True)
         statement = _parse_with(parser)
         if isinstance(statement, (CreateTableStmt, CreateIndexStmt, DropTableStmt)):
             if parser.param_count:
                 raise SQLError("placeholders are not allowed in DDL statements")
-        self._db = db
+        self._engine = engine
         self._statement = statement
         self.sql = sql
         self.param_count = parser.param_count
@@ -729,7 +728,7 @@ class PreparedStatement:
                 f"statement takes {self.param_count} parameter(s), got {len(params)}"
             )
         bound = _bind_statement(self._statement, tuple(params))
-        return _run_statement(self._db, bound)
+        return _run_statement(self._engine, bound)
 
 
 # ----------------------------------------------------------------------
@@ -737,37 +736,37 @@ class PreparedStatement:
 # ----------------------------------------------------------------------
 
 
-def execute_sql(db: Database, sql: str) -> List[Dict[str, Any]]:
+def execute_sql(engine: QueryEngine, sql: str) -> List[Dict[str, Any]]:
     """Parse and execute one statement.  SELECT returns rows as dicts;
     DML returns ``[{"affected": n}]``; DDL returns ``[]``."""
-    return _run_statement(db, parse_statement(sql))
+    return _run_statement(engine, parse_statement(sql))
 
 
 def _run_statement(
-    db: "Database | MVCCTransaction", statement: Statement
+    target: "QueryEngine | MVCCTransaction", statement: Statement
 ) -> List[Dict[str, Any]]:
-    """Execute a parsed statement against a :class:`Database` or an
+    """Execute a parsed statement against a :class:`QueryEngine` or an
     ``MVCCTransaction`` (which rejects DDL before calling this); both
     supply ``insert`` / ``delete_where`` / ``update_where`` /
     ``execute``."""
     if isinstance(statement, CreateTableStmt):
-        db.create_table(statement.schema)
+        target.create_table(statement.schema)
         return []
     if isinstance(statement, CreateIndexStmt):
-        db.table(statement.table).create_index(statement.spec)
+        target.table(statement.table).create_index(statement.spec)
         return []
     if isinstance(statement, DropTableStmt):
-        db.drop_table(statement.table)
+        target.drop_table(statement.table)
         return []
     if isinstance(statement, InsertStmt):
         columns = statement.columns
         for row in statement.rows:
-            db.insert(statement.table, row if columns is None else dict(zip(columns, row)))
+            target.insert(statement.table, row if columns is None else dict(zip(columns, row)))
         return [{"affected": len(statement.rows)}]
     if isinstance(statement, SelectStmt):
-        return db.execute(statement.query)
+        return target.execute(statement.query)
     if isinstance(statement, DeleteStmt):
-        return [{"affected": db.delete_where(statement.table, statement.where)}]
+        return [{"affected": target.delete_where(statement.table, statement.where)}]
     if isinstance(statement, UpdateStmt):
-        return [{"affected": db.update_where(statement.table, statement.changes, statement.where)}]
+        return [{"affected": target.update_where(statement.table, statement.changes, statement.where)}]
     raise SQLError(f"unhandled statement type {type(statement).__name__}")

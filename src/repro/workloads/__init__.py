@@ -8,29 +8,16 @@ the same hierarchical shape; :mod:`repro.workloads.patterns` implements
 the update patterns of Table 2 and the deletion patterns of Table 3; and
 :mod:`repro.workloads.runner` drives an editor through a pattern while
 collecting the measurements the figures report.
+:mod:`repro.workloads.concurrent` (MVCC schedules and the
+snapshot-isolation history checker) sits on the storage query layer and
+is imported from its own module.
 """
 
-from .concurrent import (
-    History,
-    TxnRecord,
-    assert_snapshot_isolation,
-    check_snapshot_isolation,
-    curator_batches,
-    run_kv_schedule,
-    run_server_schedule,
-)
 from .patterns import DELETION_POLICIES, UPDATE_PATTERNS, PatternGenerator, generate_pattern
 from .runner import RunResult, build_curation_setup, generate_script, run_pattern, run_updates
 from .synth import mimi_like_tree, organelledb_like
 
 __all__ = [
-    "History",
-    "TxnRecord",
-    "check_snapshot_isolation",
-    "assert_snapshot_isolation",
-    "run_kv_schedule",
-    "run_server_schedule",
-    "curator_batches",
     "organelledb_like",
     "mimi_like_tree",
     "PatternGenerator",

@@ -4,7 +4,9 @@ client."""
 import pytest
 
 from repro.common.clock import CostModel, VirtualClock
-from repro.storage import Column, ColumnType, Database, Query, StoreClient, TableRef, TableSchema
+from repro.storage import Column, ColumnType, Database, TableSchema
+from repro.storage.client import StoreClient
+from repro.storage.query import Query, TableRef
 
 
 class TestVirtualClock:

@@ -32,16 +32,14 @@ from repro.storage import (
     Column,
     ColumnType,
     Database,
-    FlakyTransport,
-    RetryPolicy,
     StorageError,
-    StoreClient,
     TableSchema,
     TransactionError,
     TransientNetworkError,
     WALCorruptionError,
     WALError,
 )
+from repro.storage.client import FlakyTransport, RetryPolicy, StoreClient
 from repro.storage.snapshot import checkpoint, load_snapshot, save_snapshot
 from repro.storage.wal import KIND_BEGIN, WalRecord, WriteAheadLog
 
@@ -476,7 +474,7 @@ class TestClientRetry:
         assert client.failed_round_trips == 1
         model = client.cost_model
         assert clock.total("prov.insert.failed") == model.failed_round_trip_cost(1)
-        assert clock.total("prov.insert") == model.round_trip_cost(1)
+        assert clock.total("prov.insert") == model.statement_write_cost(1)
         assert clock.count("prov.backoff") == 1
 
     def test_lost_response_does_not_double_apply(self):
@@ -530,13 +528,13 @@ class TestClientRetry:
         assert client.retries == 0 and client.failed_round_trips == 0
         model = client.cost_model
         assert clock.now_ms == (
-            model.round_trip_cost(1)
-            + model.round_trip_cost(2)
-            + model.round_trip_cost(3)
+            model.statement_write_cost(1)
+            + model.statement_write_cost(2)
+            + model.statement_write_cost(3)
         )
 
     def test_reads_are_retried_without_keys(self):
-        from repro.storage import Query, TableRef
+        from repro.storage.query import Query, TableRef
 
         client = _client(transport=FlakyTransport({2: "request"}))
         client.insert("t", (1, "a"))

@@ -21,18 +21,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.storage import (
-    Cmp,
-    Col,
-    Const,
-    Database,
-    InList,
-    MVCCManager,
-    Query,
-    TableRef,
-    WriteConflictError,
-)
+from repro.storage import Database, WriteConflictError
+from repro.storage.expr import Cmp, Col, Const, InList
+from repro.storage.mvcc import MVCCManager
 from repro.storage.plan import explain
+from repro.storage.query import Query, QueryEngine, TableRef
 from repro.storage.schema import Column, IndexSpec, TableSchema
 from repro.storage.types import ColumnType
 
@@ -272,7 +265,7 @@ class TestPlanCacheStaleness:
         reader = mgr.begin()
         first = reader.execute(self.QUERY)
         assert reader.execute(self.QUERY) == first
-        assert db.plan_cache.last_lookup == "hit"
+        assert mgr.engine.plan_cache.last_lookup == "hit"
 
     def test_concurrent_index_ddl_invalidates_mid_transaction(self):
         """Index DDL on the live table while a transaction has a cached
@@ -283,12 +276,12 @@ class TestPlanCacheStaleness:
         reader = mgr.begin()
         first = reader.execute(self.QUERY)
         assert reader.execute(self.QUERY) == first
-        assert db.plan_cache.last_lookup == "hit"
+        assert mgr.engine.plan_cache.last_lookup == "hit"
 
         db.table("t").create_index(IndexSpec("by_n", ("n",), ordered=True))
 
         assert reader.execute(self.QUERY) == first
-        assert db.plan_cache.last_lookup != "hit"  # epoch moved, replanned
+        assert mgr.engine.plan_cache.last_lookup != "hit"  # epoch moved, replanned
 
     def test_drop_and_recreate_table_does_not_serve_stale_plan(self):
         db = _db()
@@ -338,7 +331,7 @@ class TestTornReadSafeStats:
         db = _db()
         table = db.table("t")
         rowid = table.lookup_pk((7,))[0]
-        table._torn_read_hook = lambda: db.delete_rowid("t", rowid)
+        table._torn_read_hook = lambda: db.delete_rowids("t", [rowid])
         snap = table.stats_snapshot()
         assert snap["rows"] == len(table._rows) == 7
         assert snap["bytes"] == table._byte_size
@@ -346,7 +339,7 @@ class TestTornReadSafeStats:
     def test_database_stats_uses_snapshots(self):
         db = _db()
         table = db.table("t")
-        stats = db.stats()
+        stats = QueryEngine(db).stats()
         assert stats["t"] == {"rows": 8, "bytes": table._byte_size}
         assert "plan_cache" in stats
 

@@ -25,19 +25,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.storage import (
-    Cmp,
-    Col,
-    ConstraintError,
-    Const,
-    Database,
-    InList,
-    Query,
-    TableRef,
-    execute_sql,
-)
+from repro.storage import ConstraintError, Database
 from repro.storage.errors import SQLError
+from repro.storage.expr import Cmp, Col, Const, InList
+from repro.storage.query import Query, QueryEngine, TableRef
 from repro.storage.schema import Column, IndexSpec, TableSchema
+from repro.storage.sql import execute_sql
 from repro.storage.types import ColumnType
 
 # ``REPRO_HYPOTHESIS_PROFILE=ci`` derandomizes the properties here (same
@@ -190,13 +183,13 @@ class TestStringTypeNames:
 # ----------------------------------------------------------------------
 
 
-def _loaded_db(**kwargs: Any) -> Database:
-    db = Database("pc", **kwargs)
+def _loaded_db(**kwargs: Any) -> QueryEngine:
+    db = Database("pc")
     db.create_table(_schema(ORDERED_V, IndexSpec("by_n", ("n",), ordered=True)))
     table = db.table("t")
     for i in range(60):
         table.insert((i, f"v{i % 10}", i % 7))
-    return db
+    return QueryEngine(db, **kwargs)
 
 
 def _q(value: str) -> Query:
@@ -324,8 +317,8 @@ class TestPlanCache:
 
 
 class TestPreparedStatements:
-    def _db(self) -> Database:
-        db = Database("ps")
+    def _db(self) -> QueryEngine:
+        db = QueryEngine(Database("ps"))
         execute_sql(db, "CREATE TABLE t (k INTEGER NOT NULL, v TEXT, PRIMARY KEY (k))")
         execute_sql(db, "CREATE ORDERED INDEX by_v ON t (v)")
         for i in range(30):

@@ -31,21 +31,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.storage import (
-    AmbiguousColumnError,
-    And,
-    Cmp,
-    Col,
-    Const,
-    ConstraintError,
-    Database,
-    InList,
-    JoinSpec,
-    Or,
-    PrefixMatch,
-    Query,
-    TableRef,
-)
+from repro.storage import AmbiguousColumnError, ConstraintError, Database
+from repro.storage.expr import And, Cmp, Col, Const, InList, Or, PrefixMatch
 from repro.storage.plan import (
     IndexMultiRangeScan,
     IndexRangeScan,
@@ -55,7 +42,7 @@ from repro.storage.plan import (
     _null_safe_key,
     explain,
 )
-from repro.storage.query import plan_query
+from repro.storage.query import JoinSpec, Query, QueryEngine, TableRef, plan_query
 from repro.storage.schema import Column, IndexSpec, TableSchema
 from repro.storage.types import ColumnType
 
@@ -740,12 +727,12 @@ class TestPlannedDMLDifferential:
     def test_delete_where_matches_naive_oracle(self, db, predicate) -> None:
         oracle = _clone_db(db)
         try:
-            got = db.delete_where("t", predicate)
+            got = QueryEngine(db).delete_where("t", predicate)
             got_error = None
         except Exception as error:  # noqa: BLE001 — error identity is the oracle
             got, got_error = None, type(error)
         try:
-            want = oracle.delete_where("t", predicate, naive=True)
+            want = QueryEngine(oracle).delete_where("t", predicate, naive=True)
             want_error = None
         except Exception as error:  # noqa: BLE001
             want, want_error = None, type(error)
@@ -761,12 +748,12 @@ class TestPlannedDMLDifferential:
     def test_update_where_matches_naive_oracle(self, db, predicate, changes) -> None:
         oracle = _clone_db(db)
         try:
-            got = db.update_where("t", changes, predicate)
+            got = QueryEngine(db).update_where("t", changes, predicate)
             got_error = None
         except Exception as error:  # noqa: BLE001
             got, got_error = None, type(error)
         try:
-            want = oracle.update_where("t", changes, predicate, naive=True)
+            want = QueryEngine(oracle).update_where("t", changes, predicate, naive=True)
             want_error = None
         except Exception as error:  # noqa: BLE001
             want, want_error = None, type(error)
@@ -1095,7 +1082,7 @@ class TestNullProbeRegressions:
         query = Query(TableRef("n"), where=InList(Col("c"), (None,)))
         assert list(plan_query(db.tables, query).execute()) == []
         assert_plan_equivalent(db, query)
-        assert db.delete_where("n", InList(Col("c"), (None,))) == 0
+        assert QueryEngine(db).delete_where("n", InList(Col("c"), (None,))) == 0
 
     def test_eq_null_probe_on_nullable_hash_column(self):
         """`c = NULL` is always False under Cmp semantics; a hash probe
@@ -1105,7 +1092,7 @@ class TestNullProbeRegressions:
         assert "IndexEqScan" not in explain(plan_query(db.tables, query))
         assert list(plan_query(db.tables, query).execute()) == []
         assert_plan_equivalent(db, query)
-        assert db.delete_where("n", Cmp("=", Col("c"), Const(None))) == 0
+        assert QueryEngine(db).delete_where("n", Cmp("=", Col("c"), Const(None))) == 0
 
 
 # ----------------------------------------------------------------------

@@ -200,8 +200,8 @@ class TestExactSize:
         table = db.create_table(golden_schema())
         rowids = [db.insert("golden", row) for row in GOLDEN_ROWS]
         assert table.byte_size == sum(len(bytes.fromhex(h)) for h in GOLDEN_HEX)
-        db.update_rowid("golden", rowids[0], {"c": "ü"})
-        db.delete_rowid("golden", rowids[1])
+        db.update_rowids("golden", [rowids[0]], {"c": "ü"})
+        db.delete_rowids("golden", [rowids[1]])
         assert table.byte_size == sum(
             len(table.schema.codec.encode(row)) for _rid, row in table.scan()
         )

@@ -14,12 +14,8 @@ import time
 
 import pytest
 
-from repro.storage import (
-    Database,
-    ServerClient,
-    ThreadedServer,
-    WriteConflictError,
-)
+from repro.storage import Database, WriteConflictError
+from repro.storage.server import ServerClient, ThreadedServer
 from repro.storage.errors import (
     DuplicateKeyError,
     TransactionError,

@@ -13,22 +13,24 @@ from repro.storage import (
     IndexSpec,
     StorageError,
     TableSchema,
-    execute_sql,
 )
+from repro.storage.query import QueryEngine
 from repro.storage.snapshot import checkpoint, load_snapshot, save_snapshot
+from repro.storage.sql import execute_sql
 
 
 def populated_db():
     db = Database("d")
-    execute_sql(db, "CREATE TABLE prov (tid INT NOT NULL, op CHAR NOT NULL, "
+    engine = QueryEngine(db)
+    execute_sql(engine, "CREATE TABLE prov (tid INT NOT NULL, op CHAR NOT NULL, "
                     "loc TEXT NOT NULL, src TEXT, PRIMARY KEY (tid, loc))")
-    execute_sql(db, "CREATE ORDERED INDEX prov_loc ON prov (loc)")
-    execute_sql(db, "INSERT INTO prov VALUES "
+    execute_sql(engine, "CREATE ORDERED INDEX prov_loc ON prov (loc)")
+    execute_sql(engine, "INSERT INTO prov VALUES "
                     "(1, 'C', 'T/a', 'S/a'), (2, 'I', 'T/b', NULL), "
                     "(3, 'D', 'T/c', NULL)")
-    execute_sql(db, "CREATE TABLE meta (k TEXT NOT NULL, v REAL, b BOOL, "
+    execute_sql(engine, "CREATE TABLE meta (k TEXT NOT NULL, v REAL, b BOOL, "
                     "PRIMARY KEY (k))")
-    execute_sql(db, "INSERT INTO meta VALUES ('pi', 3.5, true), ('e', NULL, false)")
+    execute_sql(engine, "INSERT INTO meta VALUES ('pi', 3.5, true), ('e', NULL, false)")
     return db
 
 
@@ -49,7 +51,7 @@ class TestSnapshot:
         path = str(tmp_path / "db.snap")
         save_snapshot(db, path)
         restored = load_snapshot(path)
-        rows = execute_sql(restored, "SELECT loc FROM prov WHERE loc LIKE 'T/%'")
+        rows = execute_sql(QueryEngine(restored), "SELECT loc FROM prov WHERE loc LIKE 'T/%'")
         assert len(rows) == 3
         # the pk-backed index enforces uniqueness again
         with pytest.raises(Exception):
@@ -60,7 +62,7 @@ class TestSnapshot:
         path = str(tmp_path / "db.snap")
         save_snapshot(db, path)
         restored = load_snapshot(path)
-        rows = execute_sql(restored,
+        rows = execute_sql(QueryEngine(restored),
                            "SELECT op, count(*) AS n FROM prov GROUP BY op ORDER BY op")
         assert [(row["op"], row["n"]) for row in rows] == [("C", 1), ("D", 1), ("I", 1)]
 

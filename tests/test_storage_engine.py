@@ -15,6 +15,7 @@ from repro.storage.errors import (
 )
 from repro.storage.index import HashIndex, OrderedIndex
 from repro.storage.mvcc import MVCCManager
+from repro.storage.query import QueryEngine
 from repro.storage.schema import Column, IndexSpec, TableSchema
 from repro.storage.snapshot import load_snapshot, save_snapshot
 from repro.storage.table import Table
@@ -617,18 +618,31 @@ class TestPlannedDML:
             db.insert("t", (k, k * 10, f"v{k}"))
         return db
 
+    @staticmethod
+    def _update(entry, db, changes, predicate, keys):
+        """One update statement through ``entry``: the query layer's
+        ``update_where`` with ``predicate``, or the kernel's plural
+        rowid update with the rowids of ``keys`` (the rows ``predicate``
+        matches, in the planner's key order).  Returns the count."""
+        if entry == "query":
+            return QueryEngine(db).update_where("t", changes, predicate)
+        table = db.table("t")
+        rowids = [table.lookup_pk((k,))[0] for k in keys]
+        return len(db.update_rowids("t", rowids, changes))
+
     def test_delete_uses_index_scan(self):
         from repro.storage.expr import Cmp, Col, Const, InList
         from repro.storage.plan import IndexMultiRangeScan, IndexRangeScan
 
         db = self._db()
+        engine = QueryEngine(db)
         table = db.table("t")
-        node, residual = db.plan_mutation("t", Cmp("<", Col("k"), Const(2)))
+        node, residual = engine.plan_mutation("t", Cmp("<", Col("k"), Const(2)))
         assert isinstance(node, IndexRangeScan) and residual is None
-        node, residual = db.plan_mutation("t", InList(Col("k"), (1, 4)))
+        node, residual = engine.plan_mutation("t", InList(Col("k"), (1, 4)))
         assert isinstance(node, IndexMultiRangeScan) and residual is None
         before = dict(table.access_counts)
-        assert db.delete_where("t", InList(Col("k"), (1, 4))) == 2
+        assert engine.delete_where("t", InList(Col("k"), (1, 4))) == 2
         assert table.access_counts["multi_range_scan"] == before["multi_range_scan"] + 1
         assert table.access_counts["scan"] == before["scan"]  # no full scan
         assert sorted(row[0] for _r, row in table.scan()) == [0, 2, 3, 5]
@@ -638,15 +652,16 @@ class TestPlannedDML:
 
         predicate = Or(Cmp("<", Col("k"), Const(2)), Cmp(">=", Col("k"), Const(5)))
         planned, naive = self._db(), self._db()
-        assert planned.delete_where("t", predicate) == naive.delete_where(
-            "t", predicate, naive=True
-        )
+        assert QueryEngine(planned).delete_where("t", predicate) == QueryEngine(
+            naive
+        ).delete_where("t", predicate, naive=True)
         key = lambda item: item[1]
         assert sorted(planned.table("t").scan(), key=key) == sorted(
             naive.table("t").scan(), key=key
         )
 
-    def test_update_where_unique_collision_rolls_back_applied_victims(self):
+    @pytest.mark.parametrize("entry", ["kernel", "query"])
+    def test_update_where_unique_collision_rolls_back_applied_victims(self, entry):
         """A unique-key collision on the Nth victim must leave the table
         exactly as before the call: victims 1..N-1 are reverted, nothing
         reaches the undo log, and no transaction stays open."""
@@ -659,14 +674,17 @@ class TestPlannedDML:
         # with the just-updated k=0 — a genuine mid-batch failure with
         # one victim already applied
         with pytest.raises(DuplicateKeyError):
-            db.update_where("t", {"u": 99}, Cmp("<", Col("k"), Const(3)))
+            self._update(entry, db, {"u": 99}, Cmp("<", Col("k"), Const(3)), (0, 1, 2))
         assert sorted(table.scan(), key=lambda item: item[1]) == snapshot
         assert not db.in_transaction
         # the table is fully usable afterwards: the same statement with a
         # non-colliding value applies cleanly
-        assert db.update_where("t", {"v": "w"}, Cmp("<", Col("k"), Const(3))) == 3
+        assert self._update(
+            entry, db, {"v": "w"}, Cmp("<", Col("k"), Const(3)), (0, 1, 2)
+        ) == 3
 
-    def test_update_collision_leaves_wal_clean(self, tmp_path):
+    @pytest.mark.parametrize("entry", ["kernel", "query"])
+    def test_update_collision_leaves_wal_clean(self, tmp_path, entry):
         """Nothing of a failed update statement may reach the WAL: after
         a crash + recovery the table matches its pre-call state."""
         from repro.storage.expr import Cmp, Col, Const
@@ -675,25 +693,48 @@ class TestPlannedDML:
         table = db.table("t")
         snapshot = sorted(row for _rid, row in table.scan())
         with pytest.raises(DuplicateKeyError):
-            db.update_where("t", {"u": 99}, Cmp("<", Col("k"), Const(3)))
+            self._update(entry, db, {"u": 99}, Cmp("<", Col("k"), Const(3)), (0, 1, 2))
         db.crash()
         db.recover()
         assert sorted(row for _rid, row in table.scan()) == snapshot
 
-    def test_update_collision_inside_explicit_txn_reverts_statement_only(self):
+    @pytest.mark.parametrize("entry", ["kernel", "query"])
+    def test_update_collision_inside_explicit_txn_reverts_statement_only(self, entry):
         from repro.storage.expr import Cmp, Col, Const
 
         db = self._db()
         table = db.table("t")
         db.begin()
-        db.update_where("t", {"v": "first"}, Cmp("=", Col("k"), Const(0)))
+        self._update(entry, db, {"v": "first"}, Cmp("=", Col("k"), Const(0)), (0,))
         with pytest.raises(DuplicateKeyError):
-            db.update_where("t", {"u": 99}, Cmp("<", Col("k"), Const(3)))
+            self._update(entry, db, {"u": 99}, Cmp("<", Col("k"), Const(3)), (0, 1, 2))
         assert db.in_transaction  # statement reverted, txn still open
         db.commit()
         rows = {row[0]: row for _rid, row in table.scan()}
         assert rows[0][2] == "first"  # the earlier statement survived
         assert [rows[k][1] for k in range(6)] == [0, 10, 20, 30, 40, 50]
+
+    def test_delete_rowids_missing_row_reverts_statement(self, tmp_path):
+        """The kernel's plural rowid delete is atomic too: a missing
+        rowid after two applied deletes restores both rows, leaves no
+        transaction open, and logs nothing that a recovery replays."""
+        db = self._db(wal_dir=str(tmp_path))
+        table = db.table("t")
+        snapshot = sorted(table.scan(), key=lambda item: item[1])
+        rowids = [table.lookup_pk((k,))[0] for k in (1, 2)]
+        with pytest.raises(ConstraintError):
+            db.delete_rowids("t", rowids + [max(table._rows) + 1])
+        assert sorted(table.scan(), key=lambda item: item[1]) == snapshot
+        assert not db.in_transaction
+        db.crash()
+        db.recover()
+        # recovery reloads rows under fresh rowids: compare the rows
+        assert sorted(row for _rid, row in table.scan()) == [row for _rid, row in snapshot]
+        rowids = [table.lookup_pk((k,))[0] for k in (1, 2)]
+        assert [row for _rowid, row in db.delete_rowids("t", rowids)] == [
+            (1, 10, "v1"),
+            (2, 20, "v2"),
+        ]
 
     def test_qualified_column_fails_identically(self):
         from repro.storage.errors import UnknownColumnError
@@ -703,5 +744,5 @@ class TestPlannedDML:
         for naive in (False, True):
             db = self._db()
             with pytest.raises(UnknownColumnError):
-                db.delete_where("t", predicate, naive=naive)
+                QueryEngine(db).delete_where("t", predicate, naive=naive)
             assert db.table("t").row_count == 6

@@ -4,18 +4,8 @@ scan with post-filtering."""
 
 import pytest
 
-from repro.storage import (
-    And,
-    Cmp,
-    Col,
-    Const,
-    Database,
-    PrefixMatch,
-    Query,
-    SQLError,
-    TableRef,
-    execute_sql,
-)
+from repro.storage import Database, SQLError
+from repro.storage.expr import And, Cmp, Col, Const, PrefixMatch
 from repro.storage.plan import (
     DistinctNode,
     IndexEqScan,
@@ -26,12 +16,13 @@ from repro.storage.plan import (
     SortNode,
     explain,
 )
-from repro.storage.query import JoinSpec
+from repro.storage.query import JoinSpec, Query, QueryEngine, TableRef
+from repro.storage.sql import execute_sql
 
 
 @pytest.fixture
 def db():
-    database = Database("test")
+    database = QueryEngine(Database("test"))
     execute_sql(
         database,
         "CREATE TABLE prov (tid INT NOT NULL, op CHAR NOT NULL, "
@@ -321,7 +312,7 @@ class TestSQL:
 
     def test_drop_table(self, db):
         execute_sql(db, "DROP TABLE txn")
-        assert not db.has_table("txn")
+        assert not db.db.has_table("txn")
 
     def test_syntax_errors(self, db):
         for bad in (
@@ -372,7 +363,7 @@ class TestSQL:
 def events_db():
     """A table big enough that the cost model prefers index probes over
     the 5-row prov fixture's near-tie seq scans."""
-    database = Database("events")
+    database = QueryEngine(Database("events"))
     execute_sql(
         database,
         "CREATE TABLE ev (k INT NOT NULL, g INT NOT NULL, v TEXT NOT NULL, "
@@ -440,7 +431,7 @@ class TestMultiRangeSnapshots:
 
 class TestPlannedDMLExplain:
     def test_planned_delete_uses_multi_range(self, events_db):
-        from repro.storage import Col, InList
+        from repro.storage.expr import Col, InList
 
         node, residual = events_db.plan_mutation("ev", InList(Col("k"), (1, 7)))
         assert explain(node) == (
@@ -449,7 +440,7 @@ class TestPlannedDMLExplain:
         assert residual is None
 
     def test_planned_delete_keeps_residual(self, events_db):
-        from repro.storage import And, Cmp, Col, Const
+        from repro.storage.expr import And, Cmp, Col, Const
 
         predicate = And(Cmp("<", Col("k"), Const(5)), Cmp("=", Col("v"), Const("v1")))
         node, residual = events_db.plan_mutation("ev", predicate)
@@ -474,7 +465,7 @@ class TestPlannedDMLExplain:
 def join_db():
     """Three tables sized so join costs differentiate: a 200-row fact
     table with ordered indexes, an 8-row dimension, a 4-row driver."""
-    db = Database("joins")
+    db = QueryEngine(Database("joins"))
     execute_sql(
         db,
         "CREATE TABLE fact (id INT NOT NULL, grp INT NOT NULL, val TEXT NOT NULL, "
@@ -577,7 +568,7 @@ class TestIndexNestedLoopChunking:
 
     def test_chunked_probes_match_single_batch(self, join_db):
         from repro.storage.plan import INLJ_CHUNK, IndexNestedLoopJoin, SeqScan
-        from repro.storage import Col
+        from repro.storage.expr import Col
 
         tiny = join_db.table("tiny")
         fact = join_db.table("fact")
@@ -604,7 +595,7 @@ class TestIndexNestedLoopChunking:
     @pytest.mark.parametrize("chunk", [0, -1])
     def test_chunk_below_one_is_rejected(self, join_db, chunk):
         from repro.storage.plan import IndexNestedLoopJoin, SeqScan
-        from repro.storage import Col
+        from repro.storage.expr import Col
 
         with pytest.raises(ValueError, match="chunk must be >= 1"):
             IndexNestedLoopJoin(
@@ -657,7 +648,7 @@ class TestJoinSQL:
     def test_ambiguous_unaliased_shared_column_raises(self):
         from repro.storage import AmbiguousColumnError
 
-        db = Database("amb")
+        db = QueryEngine(Database("amb"))
         execute_sql(db, "CREATE TABLE l (k INT NOT NULL, w INT NOT NULL)")
         execute_sql(db, "CREATE TABLE r (k INT NOT NULL, w INT NOT NULL)")
         execute_sql(db, "INSERT INTO l VALUES (1, 10)")

@@ -19,6 +19,7 @@ from repro.storage import (
     TransactionError,
 )
 from repro.storage.expr import Cmp, Col, Const
+from repro.storage.query import QueryEngine
 from repro.storage.wal import (
     KIND_COMMIT,
     KIND_DELETE,
@@ -65,7 +66,7 @@ class TestTransactions:
         db.create_table(schema())
         db.insert("prov", (1, "I", "T/a", None))
         db.begin()
-        db.delete_where("prov")
+        QueryEngine(db).delete_where("prov")
         assert db.table("prov").row_count == 0
         db.rollback()
         assert db.table("prov").row_count == 1
@@ -138,7 +139,7 @@ class TestCrashRecovery:
         db.insert("prov", (2, "I", "T/b", None))
         db.commit()
         db.begin()
-        db.delete_where("prov", None)  # delete all, but crash before commit
+        QueryEngine(db).delete_where("prov", None)  # delete all, but crash before commit
         db.crash()
 
         assert db.table("prov").row_count == 0  # memory gone
@@ -152,7 +153,7 @@ class TestCrashRecovery:
         db.insert("prov", (1, "I", "T/a", None))
         db.insert("prov", (2, "I", "T/b", None))
         db.begin()
-        db.delete_where("prov", None)
+        QueryEngine(db).delete_where("prov", None)
         db.commit()
         db.crash()
         db.recover()
@@ -170,7 +171,7 @@ class TestCrashRecovery:
         db.create_table(schema())
         db.insert("prov", (1, "I", "T/a", None))
         db.begin()
-        db.update_where("prov", {"op": "C", "src": "S/a"})
+        QueryEngine(db).update_where("prov", {"op": "C", "src": "S/a"})
         db.commit()
         db.crash()
         db.recover()
@@ -224,7 +225,7 @@ class TestCoalescedReplay:
         db.create_table(schema())
         db.insert("prov", (1, "I", "T/a", None))
         db.insert("prov", (2, "I", "T/b", None))
-        db.delete_where("prov", Cmp("=", Col("tid"), Const(1)))
+        QueryEngine(db).delete_where("prov", Cmp("=", Col("tid"), Const(1)))
         db.insert("prov", (1, "I", "T/a", "S1/x"))  # same pk, new content
         before = sorted(row for _rid, row in db.table("prov").scan())
         db.crash()
@@ -309,13 +310,13 @@ class TestCrashPointMatrix:
         snapshot()
         # txn 2: a delete and an insert in one transaction
         db.begin()
-        db.delete_where("prov", Cmp("=", Col("tid"), Const(2)))
+        QueryEngine(db).delete_where("prov", Cmp("=", Col("tid"), Const(2)))
         db.insert("prov", (4, "I", "T/d", None))
         db.commit()
         snapshot()
         # txn 3: an update (logged as DELETE old + INSERT new)
         db.begin()
-        db.update_where("prov", {"op": "D", "src": None}, Cmp("=", Col("tid"), Const(1)))
+        QueryEngine(db).update_where("prov", {"op": "D", "src": None}, Cmp("=", Col("tid"), Const(1)))
         db.commit()
         snapshot()
         # txn 4: aborted — must never replay regardless of truncation
@@ -433,7 +434,7 @@ class TestCrashDuringConcurrency:
 
     def _setup(self, wal_dir):
         from repro.common.faults import FaultPlan
-        from repro.storage import MVCCManager
+        from repro.storage.mvcc import MVCCManager
 
         plan = FaultPlan()
         db = Database("c", wal_dir=wal_dir, faults=plan)
@@ -509,7 +510,7 @@ class TestCrashDuringConcurrency:
         process lives on, e.g. an EIO rather than a kill) still operate:
         the reader's snapshot is intact and a retry commits."""
         from repro.common.faults import FaultPlan, SimulatedCrash
-        from repro.storage import MVCCManager
+        from repro.storage.mvcc import MVCCManager
 
         plan = FaultPlan()
         db = Database("c", wal_dir=str(tmp_path), faults=plan)
