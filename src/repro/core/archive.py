@@ -121,11 +121,6 @@ class VersionArchive:
                 return delta
         return None
 
-    def storage_cost(self) -> int:
-        """Total archived change entries (base counts its node count)."""
-        base = self._base.node_count() if self._base is not None else 0
-        return base + sum(delta.change_count for delta in self._deltas)
-
 
 def _apply_delta(tree: Tree, delta: VersionDelta) -> None:
     for path in delta.deletes:

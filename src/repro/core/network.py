@@ -50,12 +50,6 @@ class ProvenanceNetwork:
             raise ValueError(f"database {name!r} already registered")
         self._stores[name] = store
 
-    def is_registered(self, name: str) -> bool:
-        return name in self._stores
-
-    def queries_for(self, name: str) -> ProvenanceQueries:
-        return ProvenanceQueries(self._stores[name], target_name=name)
-
     # ------------------------------------------------------------------
     def own(self, loc: "Path | str", max_hops: int = 16) -> List[OwnershipSegment]:
         """The ownership history of the data currently at ``loc``:

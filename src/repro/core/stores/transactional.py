@@ -229,9 +229,3 @@ class TransactionalStore(ProvenanceStore):
         self._dead.clear()
         self._displaced.clear()
         self._open = False
-
-    # ------------------------------------------------------------------
-    @property
-    def pending_count(self) -> int:
-        """Links currently on the active list (for tests)."""
-        return len(self._provlist) + len(self._emitted_dead())

@@ -164,10 +164,6 @@ class Tree:
         for label in sorted(self._children):
             yield from self._children[label].nodes(prefix.child(label))
 
-    def paths(self) -> Iterator[Path]:
-        for path, _node in self.nodes():
-            yield path
-
     def node_count(self) -> int:
         """Number of nodes including this one (the paper's subtree size)."""
         return 1 + sum(child.node_count() for child in self._children.values())

@@ -24,7 +24,6 @@ __all__ = [
     "IsNull",
     "InList",
     "PrefixMatch",
-    "Concat",
     "compile_expr",
     "conjuncts",
     "column_bound",
@@ -194,26 +193,6 @@ class PrefixMatch(Expr):
         return self.column.columns()
 
 
-@dataclass(frozen=True)
-class Concat(Expr):
-    """String concatenation — the paper builds paths with ``+`` in queries
-    mixing provenance and raw data (Section 2.2)."""
-
-    parts: Tuple[Expr, ...]
-
-    def __init__(self, *parts: Expr) -> None:
-        object.__setattr__(self, "parts", tuple(parts))
-
-    def eval(self, env: Env) -> str:
-        return "".join(str(part.eval(env)) for part in self.parts)
-
-    def columns(self) -> FrozenSet[str]:
-        result: FrozenSet[str] = frozenset()
-        for part in self.parts:
-            result |= part.columns()
-        return result
-
-
 def compile_expr(expr: Expr) -> "Callable[[Env], Any]":
     """Specialize an expression into a closure evaluated per row.
 
@@ -307,9 +286,6 @@ def compile_expr(expr: Expr) -> "Callable[[Env], Any]":
             return isinstance(value, str) and value.startswith(prefix)
 
         return prefix_fn
-    if isinstance(expr, Concat):
-        part_fns = [compile_expr(part) for part in expr.parts]
-        return lambda env: "".join(str(fn(env)) for fn in part_fns)
     # unknown subclass (user extension): interpreted evaluation still works
     return expr.eval
 

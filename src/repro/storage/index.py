@@ -1,17 +1,19 @@
-"""In-memory secondary indexes: hash (equality) and ordered (range/prefix).
+"""In-memory secondary indexes: hash (equality) and ordered (key ranges).
 
 The provenance workload needs two access paths:
 
 * equality on ``tid`` (all changes in a transaction) — hash index;
 * prefix on ``loc`` (all records under a subtree, the ``Mod`` query and
-  hierarchical inference) — ordered index with prefix range scans.
+  hierarchical inference) — ordered index, with the prefix written as
+  the half-open key range :func:`prefix_range`.
 
 The ordered index is a *blocked* sorted structure (a two-level
 list-of-chunks in the spirit of a B-tree leaf chain): entries live in
 bounded sorted blocks, and a parallel array of per-block maxima is
 bisected to locate the target block.  Insert and delete therefore cost
 O(log n + sqrt(n))-ish instead of the O(n) ``list.insert`` of a flat
-sorted list, while range and prefix scans stream blocks in order.
+sorted list.  Every range read — one range or many, forward or
+reverse — is one :meth:`OrderedIndex.multi_range` sweep over the blocks.
 """
 
 from __future__ import annotations
@@ -22,15 +24,22 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import DuplicateKeyError
 
-__all__ = ["HashIndex", "OrderedIndex", "MIN_KEY", "MAX_KEY", "KeyRange"]
+__all__ = [
+    "HashIndex",
+    "OrderedIndex",
+    "MIN_KEY",
+    "MAX_KEY",
+    "KeyRange",
+    "prefix_range",
+]
 
 Key = Tuple[Any, ...]
 Entry = Tuple[Key, int]
 
-#: ``(low, high, include_low, include_high)`` — one range over an
-#: ordered index's key space, with the same semantics as
-#: :meth:`OrderedIndex.range`.  The unit :meth:`OrderedIndex.multi_range`
-#: (and everything above it, up to the planner's ``IndexMultiRangeScan``)
+#: ``(low, high, include_low, include_high)`` — the keys ``k`` with
+#: ``low <= k <= high``; a ``None`` bound leaves that side open and a
+#: False flag makes it exclusive.  The unit :meth:`OrderedIndex.multi_range`
+#: (and everything above it, up to the planner's ``IndexRangeScan``)
 #: unions over.
 KeyRange = Tuple[Optional[Key], Optional[Key], bool, bool]
 
@@ -166,6 +175,24 @@ _MAX = _Extreme(False)
 MIN_KEY = _MIN
 MAX_KEY = _MAX
 
+_MAX_CHAR = chr(0x10FFFF)
+
+
+def prefix_range(prefix: str) -> KeyRange:
+    """The key range ``[(prefix,), (succ(prefix),))``: every key whose
+    first component is a string starting with ``prefix``.
+
+    ``succ`` drops trailing U+10FFFF characters (nothing sorts between
+    ``p + max`` and the next string up) and increments the last one
+    left; an empty or all-U+10FFFF prefix has no successor, so the
+    range is open above.  Only sound over string keys — bisecting a
+    string bound against other key types raises.
+    """
+    stem = prefix.rstrip(_MAX_CHAR)
+    high = (stem[:-1] + chr(ord(stem[-1]) + 1),) if stem else None
+    return (prefix,), high, True, False
+
+
 def _range_start_key(key_range: KeyRange) -> Tuple[int, Any, bool]:
     """Sort key ordering ranges by low bound (open bounds first; for
     equal bounds, inclusive before exclusive) — matches start-position
@@ -184,7 +211,7 @@ _SPLIT = 2 * _LOAD
 
 
 class OrderedIndex:
-    """Sorted index over key tuples supporting range and prefix scans.
+    """Sorted index over key tuples supporting key-range sweeps.
 
     Entries ``(key, rowid)`` are kept in bounded sorted blocks with a
     bisected per-block maxima array, giving sub-linear insert/delete and
@@ -286,30 +313,13 @@ class OrderedIndex:
         blocks = self._blocks
         if block_pos >= len(blocks):
             return
-        # no block slicing: early-terminating consumers (prefix scans)
+        # no block slicing: early-terminating consumers (point lookups)
         # must not pay for entries they never look at
         block = blocks[block_pos]
         for position in range(slot, len(block)):
             yield block[position]
         for pos in range(block_pos + 1, len(blocks)):
             yield from blocks[pos]
-
-    def _iter_back(self, block_pos: int, slot: int) -> Iterator[Entry]:
-        """Entries strictly before position ``(block_pos, slot)``, in
-        descending order (the mirror of :meth:`_iter_from`)."""
-        blocks = self._blocks
-        if not blocks:
-            return
-        if block_pos >= len(blocks):
-            block_pos = len(blocks) - 1
-            slot = len(blocks[block_pos])
-        block = blocks[block_pos]
-        for position in range(min(slot, len(block)) - 1, -1, -1):
-            yield block[position]
-        for pos in range(block_pos - 1, -1, -1):
-            block = blocks[pos]
-            for position in range(len(block) - 1, -1, -1):
-                yield block[position]
 
     def _entry_at(self, block_pos: int, slot: int) -> Optional[Entry]:
         if block_pos >= len(self._blocks):
@@ -399,60 +409,6 @@ class OrderedIndex:
         at = self._entry_at(*self._find_left((key, _MIN)))
         return at is not None and at[0] == key
 
-    def range(
-        self,
-        low: Optional[Key] = None,
-        high: Optional[Key] = None,
-        include_low: bool = True,
-        include_high: bool = True,
-        reverse: bool = False,
-    ) -> Iterator[int]:
-        """Yield row ids with ``low <= key <= high`` (bounds optional).
-
-        ``reverse=True`` streams the same entries in descending key
-        order — the access path behind ``ORDER BY k DESC`` without a
-        sort.
-        """
-        if reverse:
-            yield from self._range_back(low, high, include_low, include_high)
-            return
-        if low is None:
-            start = (0, 0)
-        elif include_low:
-            start = self._find_left((low, _MIN))
-        else:
-            start = self._find_right((low, _MAX))
-        for key, rowid in self._iter_from(*start):
-            if high is not None:
-                if include_high:
-                    if key > high:
-                        break
-                elif key >= high:
-                    break
-            yield rowid
-
-    def _range_back(
-        self,
-        low: Optional[Key],
-        high: Optional[Key],
-        include_low: bool,
-        include_high: bool,
-    ) -> Iterator[int]:
-        if high is None:
-            start = (len(self._blocks), 0)
-        elif include_high:
-            start = self._find_right((high, _MAX))
-        else:
-            start = self._find_left((high, _MIN))
-        for key, rowid in self._iter_back(*start):
-            if low is not None:
-                if include_low:
-                    if key < low:
-                        break
-                elif key <= low:
-                    break
-            yield rowid
-
     def multi_range(
         self,
         ranges: Iterable[KeyRange],
@@ -461,14 +417,15 @@ class OrderedIndex:
     ) -> Iterator[int]:
         """Row ids in the *union* of several key ranges, in one pass.
 
-        Each range is a ``(low, high, include_low, include_high)`` tuple
-        with :meth:`range` semantics.  The union is sorted and
+        Each range is a :data:`KeyRange`.  The union is sorted and
         de-duplicated: entries stream in global ``(key, rowid)`` order
         (descending with ``reverse``) and each appears exactly once even
-        when ranges overlap or repeat.  This is the access path behind
-        the planner's ``IndexMultiRangeScan`` (``IN`` lists,
-        OR-of-ranges) and the provenance store's batched location
-        probes.
+        when ranges overlap or repeat.  This is the index's only range
+        walker: one range (a bounded or open scan, a
+        :func:`prefix_range`) is the one-element case.  It backs the
+        planner's ``IndexRangeScan`` (merged bounds, ``LIKE 'p%'``,
+        ``IN`` lists, OR-of-ranges), the provenance store's batched
+        location probes and the XML store's axis reads.
 
         The pass is a monotone sweep: ranges are sorted by their low
         bound, and a cursor marks the first entry not yet emitted.
@@ -492,9 +449,9 @@ class OrderedIndex:
         ordered = list(ranges)
         if not presorted:
             # mutually incomparable low bounds raise TypeError here, the
-            # same way a single foreign-family bound raises inside
-            # :meth:`range` — the planner's _bound_safe guard keeps such
-            # probes out of index plans entirely
+            # same way a single foreign-family bound raises in the bisect
+            # — the planner's _bound_safe guard keeps such probes out of
+            # index plans entirely
             ordered.sort(key=_range_start_key)
         blocks = self._blocks
         maxes = self._maxes
@@ -557,9 +514,9 @@ class OrderedIndex:
                 resume_block, resume_slot = block_count, 0
 
     def _multi_range_back(self, ranges: Iterable[KeyRange]) -> Iterator[int]:
-        """Descending mirror of :meth:`multi_range`: positions are
-        exclusive upper bounds (as in :meth:`_iter_back`) and the sweep
-        cursor moves downward."""
+        """Descending mirror of :meth:`multi_range`: each range starts
+        at an exclusive upper position (the first entry above its high
+        bound) and the sweep cursor moves downward."""
         blocks = self._blocks
         if not blocks:
             return
@@ -640,25 +597,6 @@ class OrderedIndex:
                 next_pick += step
             position += block_len
         return sample
-
-    def prefix_scan(self, prefix: str) -> Iterator[int]:
-        """Row ids whose *first* key component is a string with ``prefix``.
-
-        This implements the access path for ``loc LIKE 'T/a/%'``.
-        Iterates blocks directly (one generator frame) — this is the
-        hottest read path in the provenance workload.
-        """
-        blocks = self._blocks
-        block_pos, slot = self._find_left(((prefix,), _MIN))
-        for pos in range(block_pos, len(blocks)):
-            block = blocks[pos]
-            for position in range(slot, len(block)):
-                key, rowid = block[position]
-                first = key[0]
-                if not isinstance(first, str) or not first.startswith(prefix):
-                    return
-                yield rowid
-            slot = 0
 
     def min_key(self) -> Optional[Key]:
         return self._blocks[0][0][0] if self._blocks else None

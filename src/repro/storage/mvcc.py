@@ -440,10 +440,6 @@ class MVCCTransaction:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def tables_view(self) -> Dict[str, Table]:
-        """Every catalog table as this transaction sees it."""
-        return {name: self._view(name) for name in self.manager.db.tables}
-
     def get(self, table_name: str, key: Sequence[Any]) -> Optional[Dict[str, Any]]:
         """Primary-key point read against the snapshot (plus own writes);
         returns the row as a dict, or ``None``."""
@@ -494,7 +490,15 @@ class MVCCTransaction:
     def insert_many(
         self, table_name: str, rows: Sequence["Sequence[Any] | Dict[str, Any]"]
     ) -> List[int]:
-        return [self.insert(table_name, row) for row in rows]
+        """Buffer a multi-row insert as one statement: the workspace's
+        ``bulk_insert`` validates every row before applying any, so a
+        failing row leaves none of the batch buffered."""
+        self._check_active()
+        ws = self._workspace_for(table_name)
+        rowids = ws.bulk_insert(rows)
+        self._own_inserts[table_name].update(rowids)
+        self._ops.extend(("insert", table_name, rowid, ws.get(rowid)) for rowid in rowids)
+        return rowids
 
     def delete_where(
         self, table_name: str, predicate: Optional[Expr] = None

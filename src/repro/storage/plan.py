@@ -21,9 +21,7 @@ __all__ = [
     "TableScanNode",
     "SeqScan",
     "IndexEqScan",
-    "IndexPrefixScan",
     "IndexRangeScan",
-    "IndexMultiRangeScan",
     "ValuesNode",
     "FilterNode",
     "ProjectNode",
@@ -119,20 +117,6 @@ class IndexEqScan(TableScanNode):
         return f"IndexEqScan({self.table.schema.name}.{self.index_name} = {self.key!r})"
 
 
-@dataclass
-class IndexPrefixScan(TableScanNode):
-    table: Table
-    index_name: str
-    prefix: str
-    alias: Optional[str] = None
-
-    def rows(self) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-        return self.table.prefix_scan(self.index_name, self.prefix)
-
-    def describe(self) -> str:
-        return f"IndexPrefixScan({self.table.schema.name}.{self.index_name} ~ {self.prefix!r}%)"
-
-
 def _bracketed(
     low: Any, high: Any, include_low: bool, include_high: bool
 ) -> str:
@@ -143,55 +127,18 @@ def _bracketed(
 
 @dataclass
 class IndexRangeScan(TableScanNode):
-    """Streaming scan of an ordered index restricted to ``[low, high]``.
+    """Sorted, de-duplicated union of key ranges over one ordered index
+    — every ordered-index access path the planner builds.
 
-    Rows arrive in index-key order (descending with ``reverse``), so a
-    downstream ORDER BY on the same key needs no sort.  Bounds are
-    optional (open-ended) and may each be exclusive, mapping the
-    planner-visible ``k >= lo AND k < hi`` shapes onto the blocked
-    ordered index's range iterator.
-    """
-
-    table: Table
-    index_name: str
-    low: Optional[Tuple[Any, ...]] = None
-    high: Optional[Tuple[Any, ...]] = None
-    include_low: bool = True
-    include_high: bool = True
-    alias: Optional[str] = None
-    reverse: bool = False
-
-    def rows(self) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-        return self.table.range_scan(
-            self.index_name,
-            self.low,
-            self.high,
-            self.include_low,
-            self.include_high,
-            self.reverse,
-        )
-
-    def describe(self) -> str:
-        direction = " desc" if self.reverse else ""
-        return (
-            f"IndexRangeScan({self.table.schema.name}.{self.index_name} in "
-            f"{_bracketed(self.low, self.high, self.include_low, self.include_high)}"
-            f"{direction})"
-        )
-
-
-@dataclass
-class IndexMultiRangeScan(TableScanNode):
-    """Sorted, de-duplicated union of several ranges over one ordered
-    index — the disjunction access path.
-
-    The planner normalizes ``col IN (...)`` and OR-of-sargable-conjuncts
-    into a list of ``(low, high, include_low, include_high)`` key ranges
-    over a single index; :meth:`Table.multi_range_scan` streams their
-    union in one pass, in global ``(key, rowid)`` order (descending with
-    ``reverse``), each row exactly once even when ranges overlap.
-    Because the union preserves index-key order, an ORDER BY on the
-    index key needs no sort — same as a single range scan.
+    The planner writes merged comparison bounds (``k >= lo AND k <
+    hi``, equality-bound leading columns, an open scan that only serves
+    an ORDER BY) as one range, ``col LIKE 'p%'`` as the half-open
+    :func:`~repro.storage.index.prefix_range`, and ``col IN (...)`` or
+    an OR-of-sargable-conjuncts as one range per disjunct.
+    :meth:`Table.multi_range_scan` streams the union in one pass, in
+    global ``(key, rowid)`` order (descending with ``reverse``), each
+    row exactly once even when ranges overlap — so an ORDER BY on the
+    index key needs no sort.
 
     ``presorted`` promises ``ranges`` is already in the union sweep's
     canonical order (``repro.storage.index._range_start_key``); the
@@ -215,7 +162,7 @@ class IndexMultiRangeScan(TableScanNode):
         direction = " desc" if self.reverse else ""
         rendered = " ∪ ".join(_bracketed(*key_range) for key_range in self.ranges)
         return (
-            f"IndexMultiRangeScan({self.table.schema.name}.{self.index_name} in "
+            f"IndexRangeScan({self.table.schema.name}.{self.index_name} in "
             f"{rendered}{direction})"
         )
 
@@ -346,21 +293,10 @@ def _as_exprs(key: JoinKey) -> Tuple[Expr, ...]:
     return tuple(key)
 
 
-def _eval_key(exprs: Tuple[Expr, ...], env: Env) -> Optional[Tuple[Any, ...]]:
-    """The probe/build key for one row — ``None`` when any component is
-    NULL, which never equi-joins (``Cmp`` semantics)."""
-    values = []
-    for expr in exprs:
-        value = expr.eval(env)
-        if value is None:
-            return None
-        values.append(value)
-    return tuple(values)
-
-
 def _compile_key(key: JoinKey) -> Callable[[Env], Optional[Tuple[Any, ...]]]:
-    """Compiled form of :func:`_eval_key` — the per-row closure a join
-    evaluates its probe/build key through."""
+    """The per-row closure a join evaluates its probe/build key
+    through — ``None`` when any component is NULL, which never
+    equi-joins (``Cmp`` semantics)."""
     fns = [compile_expr(expr) for expr in _as_exprs(key)]
     if len(fns) == 1:
         fn = fns[0]

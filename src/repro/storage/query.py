@@ -3,18 +3,23 @@
 The planner enumerates *candidate* access paths for each table access:
 
 1. an equality conjunct covering an index's columns → ``IndexEqScan``;
-2. a ``PrefixMatch`` conjunct on the first column of an *ordered* index
-   → ``IndexPrefixScan`` (the ``loc LIKE 'p/%'`` descendant pattern);
-3. merged comparison bounds (``k >= lo``, ``k < hi``, BETWEEN-shaped
-   pairs, and equality prefixes on multi-column indexes) on an ordered
-   index → ``IndexRangeScan``; an ordered index whose key order matches
-   the requested ORDER BY is also eligible with open bounds, so ``ORDER
-   BY k LIMIT n`` can stream;
-4. a ``col IN (...)`` conjunct, or a top-level OR whose every disjunct
-   is a sargable conjunction over one column, → ``IndexMultiRangeScan``
-   (a sorted, de-duplicated union of per-disjunct ranges over one
-   ordered index);
-5. always: a ``SeqScan``.
+2. an ``IndexRangeScan`` over an ordered index — a sorted,
+   de-duplicated union of key ranges, streamed by one
+   ``OrderedIndex.multi_range`` sweep — whose ranges come from one of
+   three sources:
+
+   a. a ``PrefixMatch`` conjunct on the first column of the index, when
+      that column is TEXT/CHAR: the half-open range ``[p, succ(p))``
+      (the ``loc LIKE 'p/%'`` descendant pattern);
+   b. merged comparison bounds (``k >= lo``, ``k < hi``, BETWEEN-shaped
+      pairs, and equality prefixes on multi-column indexes): one range;
+      an ordered index whose key order matches the requested ORDER BY
+      is also eligible with open bounds, so ``ORDER BY k LIMIT n`` can
+      stream;
+   c. a ``col IN (...)`` conjunct, or a top-level OR whose every
+      disjunct is a sargable conjunction over one column: one range per
+      disjunct;
+3. always: a ``SeqScan``.
 
 and picks the cheapest under a small cost model (see *Cost model*
 below) instead of the old static eq > prefix > range priority — so a
@@ -70,7 +75,6 @@ from .expr import (
     And,
     Cmp,
     Col,
-    Concat,
     Const,
     Expr,
     InList,
@@ -81,7 +85,7 @@ from .expr import (
     column_bound,
     conjuncts,
 )
-from .index import MAX_KEY, KeyRange, _range_start_key
+from .index import KeyRange, _range_start_key, prefix_range
 from .plan import (
     AggregateNode,
     DistinctNode,
@@ -89,9 +93,7 @@ from .plan import (
     HashJoinNode,
     HashSemiJoinNode,
     IndexEqScan,
-    IndexMultiRangeScan,
     IndexNestedLoopJoin,
-    IndexPrefixScan,
     IndexRangeScan,
     LimitNode,
     NestedLoopJoinNode,
@@ -287,8 +289,6 @@ def _expr_shape(expr: Optional[Expr], literals: List[Any]) -> str:
     if isinstance(expr, PrefixMatch):
         literals.append(expr.prefix)
         return f"prefix(@{expr.column.name},?)"
-    if isinstance(expr, Concat):
-        return "concat(" + ",".join(_expr_shape(p, literals) for p in expr.parts) + ")"
     # unknown Expr extension: repr is its identity (nothing parameterized)
     return repr(expr)
 
@@ -748,7 +748,7 @@ def _match_index_order(
 # indexes and bounded-sample estimates for ordered ones — see
 # ``Table.index_stats``).  The figures only need to *rank* candidates;
 # exact ties fall back to the legacy rule priority (eq > prefix > range
-# > multi-range > seq) so plans stay deterministic.
+# > disjunction > seq) so plans stay deterministic.
 
 _HASH_ROW_COST = 1.0      # per row out of a hash bucket
 _ORDERED_ROW_COST = 1.1   # per row off an ordered index (block walk)
@@ -936,37 +936,57 @@ def _choose_access_path(
             )
         )
 
-    # Prefix candidates: a PrefixMatch on the leading column of an
-    # ordered index (the descendant-of pattern).
+    # Range candidates: three sources of key ranges over an ordered
+    # index — a LIKE prefix, one merged interval, a disjunction — each
+    # with its own row estimate, feeding one IndexRangeScan builder.
+    def add_range(
+        rank: int,
+        spec_name: str,
+        ranges: List[KeyRange],
+        used: Iterable[Expr],
+        est: float,
+        direction: Optional[bool],
+    ) -> None:
+        satisfied = direction is not None
+        cost = _candidate_cost(
+            est, _ORDERED_ROW_COST, len(ranges), satisfied, wants_order, total_rows
+        )
+        node = IndexRangeScan(
+            table, spec_name, ranges, alias, reverse=direction is True, presorted=True
+        )
+        # by identity: the absorbed conjuncts are these objects, and a
+        # conjunct holding an unhashable constant must not raise here
+        absorbed = {id(part) for part in used}
+        leftover = [p for p in local if id(p) not in absorbed]
+        candidates.append(_Candidate(cost, rank, node, leftover, satisfied, est))
+
+    # A PrefixMatch on the leading TEXT/CHAR column of an ordered index
+    # (the descendant-of pattern) is the range [p, succ(p)).  On any
+    # other column the LIKE stays a filter: bisecting a string bound
+    # against non-string keys raises.
     for part in local:
         if not isinstance(part, PrefixMatch):
             continue
         column = _strip_alias(part.column.name, binding)
+        textual = (
+            table.schema.has_column(column)
+            and table.schema.column(column).type in _TEXTUAL
+        )
         for spec in specs:
             rank += 1
-            if not spec.ordered or spec.columns[0] != column:
+            if not textual or not spec.ordered or spec.columns[0] != column:
                 continue
-            direction = _match_index_order(spec.columns, eq_columns, order_spec)
-            satisfied = direction is False  # prefix scans stream forward only
-            leftover = [p for p in local if p is not part]
-            est = max(1.0, total_rows * _PREFIX_SELECTIVITY)
-            cost = _candidate_cost(
-                est, _ORDERED_ROW_COST, 1, satisfied, wants_order, total_rows
-            )
-            candidates.append(
-                _Candidate(
-                    cost,
-                    rank,
-                    IndexPrefixScan(table, spec.name, part.prefix, alias),
-                    leftover,
-                    satisfied,
-                    est,
-                )
+            add_range(
+                rank,
+                spec.name,
+                [prefix_range(part.prefix)],
+                [part],
+                max(1.0, total_rows * _PREFIX_SELECTIVITY),
+                _match_index_order(spec.columns, eq_columns, order_spec),
             )
 
-    # Range and multi-range candidates over ordered indexes: equality
-    # bound leading columns, then either one merged interval or a
-    # disjunction (IN list / OR-of-ranges) on the next column.
+    # Equality-bound leading columns, then either one merged interval or
+    # a disjunction (IN list / OR-of-ranges) on the next column.
     intervals = _analyze_intervals(local, binding)
     disjunctions: List[Tuple[Expr, str, List[_Interval]]] = []
     for part in local:
@@ -992,9 +1012,13 @@ def _choose_access_path(
         eq_len = min(eq_len, width - 1)
         range_column = spec.columns[eq_len]
         prefix = tuple(eq_bindings[c] for c in spec.columns[:eq_len])
-        prefix_used = {eq_sources[c] for c in spec.columns[:eq_len]}
+        prefix_used = [eq_sources[c] for c in spec.columns[:eq_len]]
+        prefix_rows = (
+            eq_rows(spec.columns[:eq_len], spec.name, width, eq_len)
+            if eq_len
+            else float(total_rows)
+        )
         direction = _match_index_order(spec.columns, eq_columns, order_spec)
-        satisfied = direction is not None
 
         # one merged interval on the range column
         rank += 1
@@ -1003,12 +1027,7 @@ def _choose_access_path(
             bound_values = [pair[0] for pair in (interval.low, interval.high) if pair]
             if not _bound_safe(table, range_column, bound_values):
                 interval = None
-        if eq_len > 0 or interval is not None or satisfied:
-            prefix_rows = (
-                eq_rows(spec.columns[:eq_len], spec.name, width, eq_len)
-                if eq_len
-                else float(total_rows)
-            )
+        if eq_len > 0 or interval is not None or direction is not None:
             fraction: Optional[float] = None
             if interval is not None:
                 # histogram-measured bound tightness when available; the
@@ -1021,26 +1040,14 @@ def _choose_access_path(
                     interval is not None and interval.high is not None
                 )
                 fraction = _BOUND_SELECTIVITY[bounds]
-            est = prefix_rows * fraction
-            cost = _candidate_cost(
-                est, _ORDERED_ROW_COST, 1, satisfied, wants_order, total_rows
-            )
-            used = set(prefix_used)
-            if interval is not None:
-                used.update(interval.sources)
-            leftover = [p for p in local if p not in used]
-            low, high, include_low, include_high = _key_range(prefix, width, interval)
-            node: TableScanNode = IndexRangeScan(
-                table,
+            add_range(
+                rank,
                 spec.name,
-                low,
-                high,
-                include_low,
-                include_high,
-                alias,
-                reverse=direction is True,
+                [_key_range(prefix, width, interval)],
+                prefix_used + (interval.sources if interval is not None else []),
+                prefix_rows * fraction,
+                direction,
             )
-            candidates.append(_Candidate(cost, rank, node, leftover, satisfied, est))
 
         # a disjunction on the range column: the multi-range union
         rank += 1
@@ -1065,11 +1072,6 @@ def _choose_access_path(
             # Cannot raise: _bound_safe confined every bound to one type
             # family, and the key handles None lows and MAX_KEY padding.
             ranges.sort(key=_range_start_key)
-            prefix_rows = (
-                eq_rows(spec.columns[:eq_len], spec.name, width, eq_len)
-                if eq_len
-                else float(total_rows)
-            )
             point_rows = eq_rows(
                 spec.columns[: eq_len + 1], spec.name, width, eq_len + 1
             )
@@ -1088,25 +1090,7 @@ def _choose_access_path(
                     bounds = int(iv.low is not None) + int(iv.high is not None)
                     fraction = _BOUND_SELECTIVITY[bounds]
                 est += prefix_rows * fraction
-            cost = _candidate_cost(
-                est,
-                _ORDERED_ROW_COST,
-                len(ranges),
-                satisfied,
-                wants_order,
-                total_rows,
-            )
-            used = prefix_used | {part}
-            leftover = [p for p in local if p not in used]
-            node = IndexMultiRangeScan(
-                table,
-                spec.name,
-                ranges,
-                alias,
-                reverse=direction is True,
-                presorted=True,
-            )
-            candidates.append(_Candidate(cost, rank, node, leftover, satisfied, est))
+            add_range(rank, spec.name, ranges, prefix_used + [part], est, direction)
 
     # The fallback everyone competes against.
     rank += 1
@@ -2283,8 +2267,10 @@ class QueryEngine:
     def drop_table(self, name: str) -> None:
         self.db.drop_table(name)
 
-    def insert(self, table_name: str, row: "Sequence[Any] | Dict[str, Any]") -> int:
-        return self.db.insert(table_name, row)
+    def insert_many(
+        self, table_name: str, rows: Sequence["Sequence[Any] | Dict[str, Any]"]
+    ) -> List[int]:
+        return self.db.insert_many(table_name, rows)
 
     # ------------------------------------------------------------------
     # Planning

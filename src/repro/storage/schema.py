@@ -38,8 +38,9 @@ class IndexSpec:
     """A secondary index over one or more columns.
 
     ``unique`` enforces at-most-one row per key; ``ordered`` builds a
-    sorted index supporting range and prefix scans (needed for the
-    provenance store's ``Loc LIKE 'T/c2/%'`` descendant lookups).
+    sorted index supporting key-range scans, a prefix being one range
+    (needed for the provenance store's ``Loc LIKE 'T/c2/%'`` descendant
+    lookups).
     """
 
     name: str

@@ -139,12 +139,6 @@ class DatabaseServer:
             await self._server.wait_closed()
             self._server = None
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
@@ -344,12 +338,6 @@ class ThreadedServer:
             self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:
             self._thread.join(timeout=10)
-
-    def run_on_loop(self, coro) -> Any:
-        """Run a coroutine on the server's loop and wait for its result
-        (used by the benchmark to drive async client fleets)."""
-        assert self._loop is not None
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
 
 class ServerClient:

@@ -747,7 +747,7 @@ def _run_statement(
 ) -> List[Dict[str, Any]]:
     """Execute a parsed statement against a :class:`QueryEngine` or an
     ``MVCCTransaction`` (which rejects DDL before calling this); both
-    supply ``insert`` / ``delete_where`` / ``update_where`` /
+    supply ``insert_many`` / ``delete_where`` / ``update_where`` /
     ``execute``."""
     if isinstance(statement, CreateTableStmt):
         target.create_table(statement.schema)
@@ -759,9 +759,13 @@ def _run_statement(
         target.drop_table(statement.table)
         return []
     if isinstance(statement, InsertStmt):
+        # one insert_many call: a multi-row INSERT is one atomic
+        # statement, so a failing row leaves none of its rows behind
         columns = statement.columns
-        for row in statement.rows:
-            target.insert(statement.table, row if columns is None else dict(zip(columns, row)))
+        rows = statement.rows
+        if columns is not None:
+            rows = [dict(zip(columns, row)) for row in rows]
+        target.insert_many(statement.table, rows)
         return [{"affected": len(statement.rows)}]
     if isinstance(statement, SelectStmt):
         return target.execute(statement.query)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from heapq import merge
 from typing import (
     Any,
@@ -241,15 +242,11 @@ class Table:
         #: charged-cost vs wall-time split in the provenance harness.
         #: ``inlj_probe`` counts physical probe batches issued by a
         #: planner ``IndexNestedLoopJoin`` against this table (one per
-        #: chunk).
-        self.access_counts: Dict[str, int] = {
-            "scan": 0,
-            "eq_lookup": 0,
-            "prefix_scan": 0,
-            "range_scan": 0,
-            "multi_range_scan": 0,
-            "inlj_probe": 0,
-        }
+        #: chunk).  A ``Counter``: an access path this table never
+        #: takes reads 0.
+        self.access_counts: Counter = Counter(
+            scan=0, eq_lookup=0, multi_range_scan=0, inlj_probe=0
+        )
         #: planner-statistics consultation counters — ``index_stats`` and
         #: ``histogram_probe`` count calls, ``histogram_build`` counts
         #: actual (cache-missing) sample builds.  The plan cache's
@@ -343,17 +340,6 @@ class Table:
                 f"{name!r}: {key!r}"
             )
         return key
-
-    def index_on(self, columns: Sequence[str], ordered: Optional[bool] = None):
-        """Find an index covering exactly ``columns`` (order-sensitive)."""
-        wanted = tuple(columns)
-        for name, spec in self._index_specs.items():
-            if spec.columns != wanted:
-                continue
-            if ordered is not None and spec.ordered != ordered:
-                continue
-            return self._indexes[name]
-        return None
 
     @property
     def index_specs(self) -> Dict[str, IndexSpec]:
@@ -713,46 +699,6 @@ class Table:
         rows = self._rows
         return ((rowid, rows[rowid]) for rowid in index.lookup_iter(key))
 
-    def prefix_scan(self, index_name: str, prefix: str) -> Iterator[Tuple[int, Row]]:
-        index = self._indexes[index_name]
-        if not isinstance(index, OrderedIndex):
-            raise ConstraintError(f"index {index_name!r} does not support prefix scans")
-        self.access_counts["prefix_scan"] += 1
-        rows = self._rows
-        return ((rowid, rows[rowid]) for rowid in index.prefix_scan(prefix))
-
-    def range_scan(
-        self,
-        index_name: str,
-        low: Optional[Tuple[Any, ...]] = None,
-        high: Optional[Tuple[Any, ...]] = None,
-        include_low: bool = True,
-        include_high: bool = True,
-        reverse: bool = False,
-    ) -> Iterator[Tuple[int, Row]]:
-        """Rows with index key in ``[low, high]`` via an ordered index,
-        streamed in ascending (or, with ``reverse``, descending) key
-        order.
-
-        ``low``/``high`` are key tuples; ``None`` leaves that side open.
-        Partial keys over a multi-column index are padded by the caller
-        with :data:`~repro.storage.index.MIN_KEY` /
-        :data:`~repro.storage.index.MAX_KEY` (e.g. ``high=("T/a",
-        MAX_KEY)`` for "every entry whose first column is T/a").
-        ``include_low``/``include_high`` select closed vs open bounds.
-        This is the access path behind the planner's ``IndexRangeScan``
-        and the store's time-travel reads.
-        """
-        index = self._indexes[index_name]
-        if not isinstance(index, OrderedIndex):
-            raise ConstraintError(f"index {index_name!r} does not support range scans")
-        self.access_counts["range_scan"] += 1
-        rows = self._rows
-        return (
-            (rowid, rows[rowid])
-            for rowid in index.range(low, high, include_low, include_high, reverse)
-        )
-
     def multi_range_scan(
         self,
         index_name: str,
@@ -762,17 +708,22 @@ class Table:
     ) -> Iterator[Tuple[int, Row]]:
         """Rows in the *union* of several index-key ranges, streamed in
         global ``(key, rowid)`` order (descending with ``reverse``) in
-        one index pass.
+        one index pass — the table's only ordered-index range read.
 
-        ``ranges`` holds ``(low, high, include_low, include_high)``
-        tuples with :meth:`range_scan` semantics; overlapping or
-        duplicate ranges yield each row once.  ``presorted=True``
-        promises ascending-low-bound range order and skips the union's
-        sort.  This is the access path behind the planner's
-        ``IndexMultiRangeScan`` (``IN`` lists and OR-of-ranges) and the
-        provenance store's batched ``loc IN (...)`` probes — N probed
-        locations charge one ``multi_range_scan`` in
-        :attr:`access_counts`, not N range scans.
+        ``ranges`` holds :data:`~repro.storage.index.KeyRange` tuples
+        ``(low, high, include_low, include_high)``: key tuples, ``None``
+        for an open side, a False flag for an exclusive bound.  Partial
+        keys over a multi-column index are padded by the caller with
+        :data:`~repro.storage.index.MIN_KEY` /
+        :data:`~repro.storage.index.MAX_KEY` (e.g. ``high=("T/a",
+        MAX_KEY)`` for "every entry whose first column is T/a"), and a
+        string prefix is :func:`~repro.storage.index.prefix_range`.
+        Overlapping or duplicate ranges yield each row once.
+        ``presorted=True`` promises ascending-low-bound range order and
+        skips the union's sort.  This is the access path behind the
+        planner's ``IndexRangeScan`` and the provenance store's batched
+        ``loc IN (...)`` probes — N probed locations charge one
+        ``multi_range_scan`` in :attr:`access_counts`, not N scans.
         """
         index = self._indexes[index_name]
         if not isinstance(index, OrderedIndex):

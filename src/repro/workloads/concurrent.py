@@ -50,7 +50,6 @@ __all__ = [
     "TxnRecord",
     "History",
     "check_snapshot_isolation",
-    "assert_snapshot_isolation",
     "kv_schema",
     "run_kv_schedule",
     "run_server_schedule",
@@ -207,15 +206,6 @@ def check_snapshot_isolation(history: History) -> List[str]:
                     f"expected {expected!r}"
                 )
     return violations
-
-
-def assert_snapshot_isolation(history: History) -> None:
-    """Raise ``AssertionError`` listing every violation, if any."""
-    violations = check_snapshot_isolation(history)
-    if violations:
-        raise AssertionError(
-            "history is not snapshot-isolated:\n  " + "\n  ".join(violations)
-        )
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,8 @@ preceding            ``u.post < v.pre``
 
 ``parent`` and ``ancestor`` follow the store's parent pointers, which
 answer them without the encoding.  Every other predicate is evaluated
-as an :class:`~repro.storage.index.OrderedIndex` ``range`` /
-``multi_range`` scan over the store's ``(pre,)``, ``(base_label, pre)``
+as an :class:`~repro.storage.index.OrderedIndex` ``multi_range``
+sweep over the store's ``(pre,)``, ``(base_label, pre)``
 and ``(level, pre)`` indexes — never a per-node tree walk
 (``XMLDatabase.access_counts`` counts the scans, the EXPLAIN-style
 evidence the tests assert on).  The indexes are reached only through

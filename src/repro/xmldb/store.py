@@ -29,8 +29,8 @@ interval containment: ``d`` is a descendant of ``a`` iff
 ``a.pre < d.pre < a.post``.  The encoding lives in three storage-layer
 :class:`~repro.storage.index.OrderedIndex`es — keyed ``(pre,)``,
 ``(base_label, pre)`` and ``(level, pre)`` — so every XPath axis
-(:mod:`repro.xmldb.axes`) is a blocked index range / multi-range scan
-instead of a pointer-chasing tree walk.
+(:mod:`repro.xmldb.axes`) is a blocked index ``multi_range`` sweep
+over one or more key ranges instead of a pointer-chasing tree walk.
 
 The encoding is derived state, like an index rebuilt on recovery: any
 ``add_node`` / ``delete_node`` / ``paste_node`` marks it stale, and the
@@ -265,7 +265,7 @@ class XMLDatabase:
         self.access_counts["range_scan"] += 1
         out = [node_id] if or_self else []
         out.extend(
-            pre_index.range((node.pre,), (node.post,), include_low=False, include_high=False)
+            pre_index.multi_range([((node.pre,), (node.post,), False, False)])
         )
         return out
 
@@ -274,11 +274,8 @@ class XMLDatabase:
         node = self._node(node_id)
         self.access_counts["range_scan"] += 1
         return list(
-            level_index.range(
-                (node.level + 1, node.pre),
-                (node.level + 1, node.post),
-                include_low=False,
-                include_high=False,
+            level_index.multi_range(
+                [((node.level + 1, node.pre), (node.level + 1, node.post), False, False)]
             )
         )
 
@@ -299,11 +296,8 @@ class XMLDatabase:
         parent = self._nodes[node.parent]
         self.access_counts["range_scan"] += 1
         return list(
-            level_index.range(
-                (node.level, node.post),
-                (node.level, parent.post),
-                include_low=False,
-                include_high=False,
+            level_index.multi_range(
+                [((node.level, node.post), (node.level, parent.post), False, False)]
             )
         )
 
@@ -315,11 +309,8 @@ class XMLDatabase:
         parent = self._nodes[node.parent]
         self.access_counts["range_scan"] += 1
         return list(
-            level_index.range(
-                (node.level, parent.pre),
-                (node.level, node.pre),
-                include_low=False,
-                include_high=False,
+            level_index.multi_range(
+                [((node.level, parent.pre), (node.level, node.pre), False, False)]
             )
         )
 
@@ -328,7 +319,7 @@ class XMLDatabase:
         pre_index = self._encoding().pre
         node = self._node(node_id)
         self.access_counts["range_scan"] += 1
-        return list(pre_index.range((node.post,), None, include_low=False))
+        return list(pre_index.multi_range([((node.post,), None, False, True)]))
 
     def preceding_ids(self, node_id: NodeId) -> List[NodeId]:
         """Document-order predecessors that are not ancestors:
@@ -338,7 +329,7 @@ class XMLDatabase:
         self.access_counts["range_scan"] += 1
         return [
             nid
-            for nid in pre_index.range(None, (node.pre,), include_high=False)
+            for nid in pre_index.multi_range([(None, (node.pre,), True, False)])
             if self._nodes[nid].post < node.pre
         ]
 

@@ -3,21 +3,46 @@
 The reference model is the seed's data structure — a flat sorted list of
 ``(key, rowid)`` pairs — with the semantics the rest of the engine
 relies on: duplicates allowed (unless unique), lookups/scans in
-``(key, rowid)`` order, prefix scans on the first key component.
-Every observable operation of a drawn op sequence must agree between the
-blocked implementation and the model.
+``(key, rowid)`` order, prefix matches on the first key component.
+The model keeps one reference method per read shape (``range``,
+``prefix``); the index answers every one of them with its single
+sweep, ``multi_range``, given one key range (a prefix as
+``prefix_range``), forward or reverse.  Every observable operation of a
+drawn op sequence must agree between the blocked implementation and the
+model.
+
+``REPRO_HYPOTHESIS_PROFILE=ci`` derandomizes the properties here (same
+example budgets), so an index regression fails deterministically.
 """
 
 import bisect
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.errors import DuplicateKeyError
-from repro.storage.index import OrderedIndex, _LOAD
+from repro.storage.index import OrderedIndex, _LOAD, prefix_range
 
 from .strategies import INDEX_KEY_TEXTS, index_entries, index_keys, index_ops, index_rowids
+
+_PROFILES = {
+    "default": {},
+    "ci": {"derandomize": True},
+}
+_PROFILE = _PROFILES.get(
+    os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"), _PROFILES["default"]
+)
+
+
+def scan(index, low=None, high=None, include_low=True, include_high=True, reverse=False):
+    """One key range through the index's only range walker."""
+    return list(index.multi_range([(low, high, include_low, include_high)], reverse))
+
+
+def prefix_scan(index, text, reverse=False):
+    return list(index.multi_range([prefix_range(text)], reverse))
 
 
 class SortedListModel:
@@ -47,12 +72,13 @@ class SortedListModel:
             out.append(rowid)
         return out[::-1] if reverse else out
 
-    def prefix(self, text):
-        return [
+    def prefix(self, text, reverse=False):
+        out = [
             rowid
             for key, rowid in self.entries
             if isinstance(key[0], str) and key[0].startswith(text)
         ]
+        return out[::-1] if reverse else out
 
 
 def apply_ops(ops):
@@ -69,19 +95,22 @@ def apply_ops(ops):
             assert sorted(index.lookup_iter(op[1])) == sorted(model.lookup(op[1]))
             assert index.lookup(op[1]) == set(model.lookup(op[1]))
         elif op[0] == "prefix":
-            assert list(index.prefix_scan(op[1])) == model.prefix(op[1])
+            assert prefix_scan(index, op[1]) == model.prefix(op[1])
+            assert prefix_scan(index, op[1], reverse=True) == model.prefix(
+                op[1], reverse=True
+            )
         else:  # range / rrange
             tag, low, high, include_low, include_high = op
             reverse = tag == "rrange"
-            assert list(
-                index.range(low, high, include_low, include_high, reverse)
+            assert scan(
+                index, low, high, include_low, include_high, reverse
             ) == model.range(low, high, include_low, include_high, reverse)
     return index, model
 
 
 class TestBlockedIndexModel:
     @given(index_ops())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, **_PROFILE)
     def test_operation_sequences_agree(self, ops):
         index, model = apply_ops(ops)
         assert len(index) == len(model.entries)
@@ -90,7 +119,7 @@ class TestBlockedIndexModel:
         assert index.max_key() == (model.entries[-1][0] if model.entries else None)
 
     @given(st.lists(st.tuples(index_keys, index_rowids), min_size=1, max_size=40))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, **_PROFILE)
     def test_unique_rejects_exactly_duplicate_keys(self, pairs):
         index = OrderedIndex("u", unique=True)
         seen = set()
@@ -147,25 +176,19 @@ class TestBulkBuildEquivalence:
             out.append(sorted(index.lookup_iter(key)))
             out.append(index.lookup(key))
             out.append(index.contains(key))
-            out.append(list(index.prefix_scan(text)))
+            out.append(prefix_scan(index, text))
         bounds = [None] + [(text,) for text in INDEX_KEY_TEXTS[::3]]
         for low in bounds:
             for high in bounds:
                 for include_low, include_high in ((True, True), (False, False)):
-                    out.append(
-                        list(index.range(low, high, include_low, include_high))
-                    )
-                    out.append(
-                        list(
-                            index.range(
-                                low, high, include_low, include_high, reverse=True
-                            )
+                    for reverse in (False, True):
+                        out.append(
+                            scan(index, low, high, include_low, include_high, reverse)
                         )
-                    )
         return out
 
     @given(index_entries)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, **_PROFILE)
     def test_bulk_equals_incremental(self, entries):
         incremental = OrderedIndex("inc")
         for key, rowid in entries:
@@ -174,7 +197,7 @@ class TestBulkBuildEquivalence:
         assert self.observations(bulk) == self.observations(incremental)
 
     @given(index_entries)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, **_PROFILE)
     def test_presorted_shortcut_agrees(self, entries):
         ordered = sorted(entries)
         assert list(
@@ -205,28 +228,23 @@ class TestRangeSentinels:
         index = OrderedIndex("r")
         for key, rowid in ((("a",), "r1"), (("a",), "r2"), (("b",), "r3")):
             index.insert(key, rowid)
-        assert list(index.range(low=("a",), include_low=False)) == ["r3"]
-        assert list(index.range(low=("a",), high=("b",), include_high=False)) == [
-            "r1",
-            "r2",
-        ]
+        assert scan(index, low=("a",), include_low=False) == ["r3"]
+        assert scan(index, low=("a",), high=("b",), include_high=False) == ["r1", "r2"]
 
     def test_exclusive_low_skips_all_duplicates(self):
         index = OrderedIndex("r")
         for rowid in range(5):
             index.insert(("x",), rowid)
         index.insert(("y",), 99)
-        assert list(index.range(low=("x",), include_low=False)) == [99]
+        assert scan(index, low=("x",), include_low=False) == [99]
 
     def test_reverse_range_streams_descending(self):
         index = OrderedIndex("r")
         for i in range(10):
             index.insert((f"k{i}",), i)
-        assert list(index.range(("k2",), ("k5",), reverse=True)) == [5, 4, 3, 2]
-        assert list(index.range(reverse=True)) == list(range(9, -1, -1))
-        assert list(
-            index.range(("k2",), ("k5",), False, False, reverse=True)
-        ) == [4, 3]
+        assert scan(index, ("k2",), ("k5",), reverse=True) == [5, 4, 3, 2]
+        assert scan(index, reverse=True) == list(range(9, -1, -1))
+        assert scan(index, ("k2",), ("k5",), False, False, reverse=True) == [4, 3]
 
     def test_reverse_range_crosses_blocks(self):
         index = OrderedIndex("r")
@@ -234,8 +252,8 @@ class TestRangeSentinels:
         for i in range(n):
             index.insert((i,), i)
         assert len(index._blocks) > 1
-        assert list(index.range(reverse=True)) == list(range(n - 1, -1, -1))
-        got = list(index.range((_LOAD - 7,), (2 * _LOAD + 3,), reverse=True))
+        assert scan(index, reverse=True) == list(range(n - 1, -1, -1))
+        got = scan(index, (_LOAD - 7,), (2 * _LOAD + 3,), reverse=True)
         assert got == list(range(2 * _LOAD + 3, _LOAD - 8, -1))
 
 
@@ -262,7 +280,7 @@ class TestMultiRangeUnion:
         return True
 
     @given(entries=index_entries, ranges=ranges_strategy, reverse=st.booleans())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, **_PROFILE)
     def test_union_matches_model(self, entries, ranges, reverse):
         distinct = sorted(set(entries))
         index = OrderedIndex("m")
@@ -276,7 +294,7 @@ class TestMultiRangeUnion:
         assert list(index.multi_range(ranges, reverse)) == expected
 
     @given(entries=index_entries, ranges=ranges_strategy)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, **_PROFILE)
     def test_presorted_shortcut_agrees(self, entries, ranges):
         from repro.storage.index import _range_start_key
 
@@ -287,3 +305,38 @@ class TestMultiRangeUnion:
         assert list(index.multi_range(ordered, presorted=True)) == list(
             index.multi_range(ranges)
         )
+
+
+_TOP = chr(0x10FFFF)
+#: U+10FFFF sorts above every other character, so a prefix ending in it
+#: has no one-character successor: prefix_range must strip it first
+_prefix_texts = st.text(alphabet=["a", "b", "/", _TOP], max_size=4)
+
+
+class TestPrefixRange:
+    """``prefix_range(p)`` swept by ``multi_range`` == a ``startswith``
+    filter over the first key component, on one- and two-column keys."""
+
+    @given(
+        texts=st.lists(st.tuples(_prefix_texts, index_rowids), max_size=60),
+        prefix=st.one_of(st.just(""), _prefix_texts, _prefix_texts.map(lambda t: t + _TOP)),
+        two_columns=st.booleans(),
+        reverse=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None, **_PROFILE)
+    def test_prefix_range_equals_startswith(self, texts, prefix, two_columns, reverse):
+        entries = sorted(
+            {((text, rowid) if two_columns else (text,), rowid) for text, rowid in texts}
+        )
+        index = OrderedIndex.bulk_build("p", entries)
+        expected = [rowid for key, rowid in entries if key[0].startswith(prefix)]
+        if reverse:
+            expected.reverse()
+        assert prefix_scan(index, prefix, reverse) == expected
+
+    def test_successor_bounds(self):
+        assert prefix_range("T/a/") == (("T/a/",), ("T/a0",), True, False)
+        assert prefix_range("a" + _TOP + _TOP) == (("a" + _TOP + _TOP,), ("b",), True, False)
+        # no string sorts above every extension of these: open above
+        assert prefix_range("") == (("",), None, True, False)
+        assert prefix_range(_TOP * 2) == ((_TOP * 2,), None, True, False)

@@ -8,9 +8,9 @@ isolation contract:
 * **write skew** — disjoint write sets guarded by overlapping reads;
   snapshot isolation ALLOWS it (this is precisely what separates SI
   from serializability), and the test documents that choice;
-* **phantoms** — a snapshot's ``IndexRangeScan`` /
-  ``IndexMultiRangeScan`` results must not change when concurrent
-  commits insert or delete rows inside the scanned range;
+* **phantoms** — a snapshot's ``IndexRangeScan`` results (one range or
+  a multi-range union) must not change when concurrent commits insert
+  or delete rows inside the scanned ranges;
 * **plan-cache staleness** — cached plans are bound to concrete
   ``Table`` objects, so a plan cached against one snapshot's shadow (or
   the live table) must never be served for another snapshot, and
@@ -203,7 +203,7 @@ class TestPhantoms:
         mgr = MVCCManager(db)
         reader = mgr.begin()
         plan = reader.plan(self.IN_QUERY)
-        assert "IndexMultiRangeScan" in explain(plan)
+        assert "IndexRangeScan" in explain(plan) and " ∪ " in explain(plan)
         before = reader.execute(self.IN_QUERY)
         assert {row["v"] for row in before} == {10, 30, 50}
 

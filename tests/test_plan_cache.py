@@ -221,7 +221,7 @@ class TestPlanCache:
     def test_mutation_invalidates(self):
         db = _loaded_db()
         db.execute(_q("v3"))
-        db.insert("t", (1000, "v3", 0))
+        db.db.insert("t", (1000, "v3", 0))
         result = db.execute(_q("v3"))
         assert db.stats()["plan_cache"]["invalidations"] >= 1
         assert any(row["k"] == 1000 for row in result)
@@ -238,7 +238,7 @@ class TestPlanCache:
         db.execute(_q("v3"))
         db.drop_table("t")
         db.create_table(_schema(ORDERED_V))
-        db.insert("t", (1, "v3", 1))
+        db.db.insert("t", (1, "v3", 1))
         # the fresh table starts at the same _version as the dropped
         # one; the catalog epoch must still force a re-plan bound to
         # the *new* Table object
@@ -297,7 +297,7 @@ class TestPlanCache:
         for _ in range(data.draw(st.integers(2, 6))):
             action = data.draw(st.integers(0, 3))
             if action == 0:
-                db.insert("t", (next_key, f"v{next_key % 10}", next_key % 7))
+                db.db.insert("t", (next_key, f"v{next_key % 10}", next_key % 7))
                 next_key += 1
             elif action == 1:
                 db.delete_where("t", Cmp("=", Col("n"), Const(data.draw(st.integers(0, 6)))))

@@ -16,7 +16,7 @@ import os
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.checksum import ALG_CRC32
@@ -36,10 +36,13 @@ from repro.storage.wal import (
 )
 
 # ``REPRO_HYPOTHESIS_PROFILE=ci`` derandomizes the properties here (same
-# example budgets), so a codec regression fails deterministically.
+# example budgets), so a codec regression fails deterministically.  No
+# deadline and no too_slow health check in either profile: a host pause
+# during input generation says nothing about the codec.
+_SLOW_HOST = {"deadline": None, "suppress_health_check": [HealthCheck.too_slow]}
 _PROFILES = {
-    "default": {},
-    "ci": {"derandomize": True},
+    "default": dict(_SLOW_HOST),
+    "ci": dict(_SLOW_HOST, derandomize=True),
 }
 _PROFILE = _PROFILES.get(
     os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"), _PROFILES["default"]

@@ -13,7 +13,7 @@ from repro.storage.errors import (
     SchemaError,
     UnknownColumnError,
 )
-from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage.index import HashIndex, OrderedIndex, prefix_range
 from repro.storage.mvcc import MVCCManager
 from repro.storage.query import QueryEngine
 from repro.storage.schema import Column, IndexSpec, TableSchema
@@ -174,8 +174,8 @@ class TestIndexes:
         index = OrderedIndex("i")
         for value, rowid in ((3, 1), (1, 2), (2, 3), (5, 4)):
             index.insert((value,), rowid)
-        assert list(index.range(low=(2,), high=(3,))) == [3, 1]
-        assert list(index.range(low=(4,))) == [4]
+        assert list(index.multi_range([((2,), (3,), True, True)])) == [3, 1]
+        assert list(index.multi_range([((4,), None, True, True)])) == [4]
         assert index.min_key() == (1,)
         assert index.max_key() == (5,)
 
@@ -183,8 +183,8 @@ class TestIndexes:
         index = OrderedIndex("i")
         for text, rowid in (("T/a", 1), ("T/a/x", 2), ("T/ab", 3), ("T/b", 4)):
             index.insert((text,), rowid)
-        assert set(index.prefix_scan("T/a")) == {1, 2, 3}
-        assert set(index.prefix_scan("T/a/")) == {2}
+        assert set(index.multi_range([prefix_range("T/a")])) == {1, 2, 3}
+        assert set(index.multi_range([prefix_range("T/a/")])) == {2}
 
 
 class TestTable:
@@ -258,12 +258,12 @@ class TestTable:
         table = Table(prov_schema())
         for tid, loc in ((1, "T/a"), (2, "T/b"), (3, "T/c"), (4, "T/d")):
             table.insert((tid, "I", loc, None))
-        rows = list(table.range_scan("prov_loc", low=("T/b",), high=("T/c",)))
+        rows = list(table.multi_range_scan("prov_loc", [(("T/b",), ("T/c",), True, True)]))
         assert [row[2] for _rid, row in rows] == ["T/b", "T/c"]
-        rows = list(table.range_scan("prov_loc", low=("T/b",), include_low=False))
+        rows = list(table.multi_range_scan("prov_loc", [(("T/b",), None, False, True)]))
         assert [row[2] for _rid, row in rows] == ["T/c", "T/d"]
         with pytest.raises(ConstraintError):
-            list(table.range_scan("prov_tid", low=(1,)))
+            list(table.multi_range_scan("prov_tid", [((1,), None, True, True)]))
 
 
 def _pk_indexes(table):
@@ -391,8 +391,9 @@ class TestBulkInsert:
         assert bulk.bulk_insert(rows) == [incremental.insert(row) for row in rows]
         assert list(bulk.scan()) == list(incremental.scan())
         assert bulk.byte_size == incremental.byte_size
-        assert list(bulk.prefix_scan("prov_loc", "T/c3/")) == list(
-            incremental.prefix_scan("prov_loc", "T/c3/")
+        subtree = [prefix_range("T/c3/")]
+        assert list(bulk.multi_range_scan("prov_loc", subtree)) == list(
+            incremental.multi_range_scan("prov_loc", subtree)
         )
         assert bulk.lookup_pk((3, "T/c3/x3")) == incremental.lookup_pk((3, "T/c3/x3"))
 
@@ -410,8 +411,9 @@ class TestBulkInsert:
         assert [row for _rid, row in table.scan()] == [
             row for _rid, row in oracle.scan()
         ]
-        assert list(table.range_scan("prov_loc", ("T/c2",), ("T/c5",))) == list(
-            oracle.range_scan("prov_loc", ("T/c2",), ("T/c5",))
+        window = [(("T/c2",), ("T/c5",), True, True)]
+        assert list(table.multi_range_scan("prov_loc", window)) == list(
+            oracle.multi_range_scan("prov_loc", window)
         )
 
     def test_batch_pk_violation_leaves_table_unchanged(self):
@@ -442,7 +444,9 @@ class TestBulkInsert:
         rows = self.rows(30)
         table.bulk_insert(rows)
         table.create_index(IndexSpec("prov_src", ("loc", "tid"), ordered=True))
-        scanned = [row for _rid, row in table.range_scan("prov_src", None, None)]
+        scanned = [
+            row for _rid, row in table.multi_range_scan("prov_src", [(None, None, True, True)])
+        ]
         assert scanned == sorted(rows, key=lambda row: (row[2], row[0]))
 
     def test_bulk_insert_respects_max_stats(self):
@@ -583,7 +587,7 @@ class TestMultiRangeScan:
         before = dict(table.access_counts)
         list(table.multi_range_scan("prov_loc", [(("T/a",), None, True, True)]))
         assert table.access_counts["multi_range_scan"] == before["multi_range_scan"] + 1
-        assert table.access_counts["range_scan"] == before["range_scan"]
+        assert sum(table.access_counts.values()) == sum(before.values()) + 1
 
     def test_requires_ordered_index(self):
         table = self._table()
@@ -632,15 +636,17 @@ class TestPlannedDML:
 
     def test_delete_uses_index_scan(self):
         from repro.storage.expr import Cmp, Col, Const, InList
-        from repro.storage.plan import IndexMultiRangeScan, IndexRangeScan
+        from repro.storage.plan import IndexRangeScan
 
         db = self._db()
         engine = QueryEngine(db)
         table = db.table("t")
         node, residual = engine.plan_mutation("t", Cmp("<", Col("k"), Const(2)))
         assert isinstance(node, IndexRangeScan) and residual is None
+        assert len(node.ranges) == 1
         node, residual = engine.plan_mutation("t", InList(Col("k"), (1, 4)))
-        assert isinstance(node, IndexMultiRangeScan) and residual is None
+        assert isinstance(node, IndexRangeScan) and residual is None
+        assert len(node.ranges) == 2
         before = dict(table.access_counts)
         assert engine.delete_where("t", InList(Col("k"), (1, 4))) == 2
         assert table.access_counts["multi_range_scan"] == before["multi_range_scan"] + 1

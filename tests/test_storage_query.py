@@ -4,12 +4,12 @@ scan with post-filtering."""
 
 import pytest
 
-from repro.storage import Database, SQLError
+from repro.storage import Database, DuplicateKeyError, SQLError
 from repro.storage.expr import And, Cmp, Col, Const, PrefixMatch
+from repro.storage.mvcc import MVCCManager
 from repro.storage.plan import (
     DistinctNode,
     IndexEqScan,
-    IndexPrefixScan,
     IndexRangeScan,
     PlanNode,
     SeqScan,
@@ -62,7 +62,7 @@ class TestPlanner:
             TableRef("prov"), where=PrefixMatch(Col("loc"), "T/c2"),
         )
         plan = db.plan(query)
-        assert "IndexPrefixScan" in explain(plan)
+        assert "IndexRangeScan(prov.prov_loc in" in explain(plan)
         assert len(db.execute(query)) == 3  # T/c2 (x2), T/c2/x
 
     def test_no_index_falls_back_to_scan(self, db):
@@ -119,7 +119,7 @@ class TestExplainSnapshots:
 
     def test_prefix_snapshot(self, db):
         plan = _plan_sql(db, "SELECT * FROM prov WHERE loc LIKE 'T/c2%'")
-        assert explain(plan) == "IndexPrefixScan(prov.prov_loc ~ 'T/c2'%)"
+        assert explain(plan) == "IndexRangeScan(prov.prov_loc in [('T/c2',), ('T/c3',)))"
 
     def test_range_snapshot(self, db):
         plan = _plan_sql(
@@ -310,6 +310,26 @@ class TestSQL:
         execute_sql(db, "INSERT INTO note (id, body) VALUES (1, 'it''s fine')")
         assert execute_sql(db, "SELECT body FROM note")[0]["body"] == "it's fine"
 
+    @pytest.mark.parametrize("through", ["engine", "mvcc"])
+    def test_multi_row_insert_is_atomic(self, db, through):
+        """A multi-row INSERT is one statement: the duplicate third row
+        leaves neither of the first two behind, whether the statement
+        runs on the engine (autocommit) or inside an MVCC transaction
+        that then commits."""
+        execute_sql(db, "CREATE TABLE note (id INT NOT NULL, body TEXT, PRIMARY KEY (id))")
+        bad = "INSERT INTO note VALUES (1, 'a'), (2, 'b'), (1, 'c')"
+        if through == "engine":
+            with pytest.raises(DuplicateKeyError):
+                execute_sql(db, bad)
+        else:
+            txn = MVCCManager(db.db).begin()
+            with pytest.raises(DuplicateKeyError):
+                txn.sql(bad)
+            assert txn.scan("note") == []
+            txn.commit()
+        assert db.table("note").row_count == 0
+        assert execute_sql(db, "SELECT * FROM note") == []
+
     def test_drop_table(self, db):
         execute_sql(db, "DROP TABLE txn")
         assert not db.db.has_table("txn")
@@ -384,14 +404,14 @@ class TestMultiRangeSnapshots:
     def test_in_list_snapshot(self, events_db):
         plan = _plan_sql(events_db, "SELECT * FROM ev WHERE k IN (3, 1, 3, 7)")
         assert explain(plan) == (
-            "IndexMultiRangeScan(ev.ev_k in "
+            "IndexRangeScan(ev.ev_k in "
             "[(1,), (1,)] ∪ [(3,), (3,)] ∪ [(7,), (7,)])"
         )
 
     def test_or_of_ranges_snapshot(self, events_db):
         plan = _plan_sql(events_db, "SELECT * FROM ev WHERE k < 2 OR k >= 38")
         assert explain(plan) == (
-            "IndexMultiRangeScan(ev.ev_k in [None, (2,)) ∪ [(38,), None])"
+            "IndexRangeScan(ev.ev_k in [None, (2,)) ∪ [(38,), None])"
         )
 
     def test_in_list_desc_order_elides_sort(self, events_db):
@@ -399,7 +419,7 @@ class TestMultiRangeSnapshots:
             events_db, "SELECT * FROM ev WHERE k IN (1, 5, 9) ORDER BY k DESC"
         )
         assert explain(plan) == (
-            "IndexMultiRangeScan(ev.ev_k in "
+            "IndexRangeScan(ev.ev_k in "
             "[(1,), (1,)] ∪ [(5,), (5,)] ∪ [(9,), (9,)] desc)"
         )
 
@@ -408,7 +428,8 @@ class TestMultiRangeSnapshots:
             events_db, "SELECT * FROM ev WHERE g = 2 AND k IN (2, 30) ORDER BY k"
         )
         rendered = explain(plan)
-        assert "IndexMultiRangeScan" in rendered and "Sort" not in rendered
+        assert "IndexRangeScan" in rendered and " ∪ " in rendered
+        assert "Sort" not in rendered
 
     def test_cost_tie_break_prefers_order_serving_index(self, events_db):
         """The PR 2 planner always picked the fully-eq-covered hash index
@@ -435,7 +456,7 @@ class TestPlannedDMLExplain:
 
         node, residual = events_db.plan_mutation("ev", InList(Col("k"), (1, 7)))
         assert explain(node) == (
-            "IndexMultiRangeScan(ev.ev_k in [(1,), (1,)] ∪ [(7,), (7,)])"
+            "IndexRangeScan(ev.ev_k in [(1,), (1,)] ∪ [(7,), (7,)])"
         )
         assert residual is None
 

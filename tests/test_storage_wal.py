@@ -262,18 +262,19 @@ class TestCoalescedReplay:
         for row in rows[30:]:
             db.insert("ev", row)
         db.commit()
+        window = [((10,), (20,), True, True)]
         before_scan = [
-            row for _rid, row in db.table("ev").range_scan("ev_k", (10,), (20,))
+            row for _rid, row in db.table("ev").multi_range_scan("ev_k", window)
         ]
         db.crash()
         assert db.recover().txns_replayed == 2
         table = db.table("ev")
         # row ids restart after a crash (heap state is not logged), so
         # compare the streamed rows, which must match exactly
-        after_scan = [row for _rid, row in table.range_scan("ev_k", (10,), (20,))]
+        after_scan = [row for _rid, row in table.multi_range_scan("ev_k", window)]
         assert after_scan == before_scan
         after_reverse = [
-            row for _rid, row in table.range_scan("ev_k", (10,), (20,), reverse=True)
+            row for _rid, row in table.multi_range_scan("ev_k", window, reverse=True)
         ]
         assert after_reverse == list(reversed(before_scan))
         assert sorted(row for _rid, row in table.scan()) == rows
