@@ -12,6 +12,8 @@ directory as the curated target:
   taken at each commit — so any reference version of the *file tree*
   can be reconstructed and every file's origin queried.
 
+The directory is a temporary one, removed when the example exits.
+
 Run:  python examples/filesystem_curation.py
 """
 
@@ -31,7 +33,12 @@ from repro.workloads.synth import organelledb_like
 
 
 def main() -> None:
-    workdir = tempfile.mkdtemp(prefix="curated_fsdb_")
+    # the curated directory lives as long as the run, errors included
+    with tempfile.TemporaryDirectory(prefix="curated_fsdb_") as workdir:
+        curate(workdir)
+
+
+def curate(workdir: str) -> None:
     os.makedirs(os.path.join(workdir, "proteins"))
 
     source_db = organelledb_like(n_proteins=10, seed=3)

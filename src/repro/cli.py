@@ -187,7 +187,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         store=store,
     )
     editor.run_script(updates, commit_every=args.commit_every)
-    if store.transactional and args.commit_every is None:
+    if args.commit_every is None:
         editor.commit()
 
     print(f"Applied {len(updates)} operations "

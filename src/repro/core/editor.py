@@ -159,8 +159,11 @@ class CurationEditor:
 
     def commit(self, note: Optional[str] = None) -> int:
         """Commit the open transaction; returns the transaction id of the
-        new reference version.  For per-operation strategies this is just
-        an archive/metadata point."""
+        new reference version.  This is the provenance store's durability
+        point for every strategy: the transaction's records reach the WAL
+        with one COMMIT and one flush (per-operation strategies keep
+        their per-operation Tids).  It is also the archive/metadata
+        point."""
         self.store.commit()
         tid = self.store.last_tid
         if self.archive is not None:

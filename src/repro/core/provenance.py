@@ -298,8 +298,20 @@ class ProvenanceStore(abc.ABC):
     * ``begin()`` is called before the first operation of a transaction;
     * ``track_*`` is called once per user action, *after* the target
       database has applied it;
-    * ``commit()`` ends the transaction.  Non-transactional strategies
-      auto-commit each action and treat ``begin``/``commit`` as no-ops.
+    * ``commit()`` ends the transaction.
+
+    The editor's transaction is also the provenance database's
+    durability unit.  The first write after a commit opens a database
+    transaction; every later write of the editor's transaction joins
+    it, and ``commit()`` closes whatever transaction is open with one
+    COMMIT record and one WAL flush.  Per-operation strategies (N, H)
+    still give each action its own Tid and write its records at once;
+    net-effect strategies (T, HT) write theirs at commit.  A commit with
+    nothing written writes nothing.  If the commit fails, the store
+    rolls back the open transaction and re-raises; the next action
+    starts a fresh one.  That includes a transaction whose BEGIN record
+    failed to append: the database leaves it open and poisoned, so the
+    commit refuses it and rolls it back.
 
     ``track_delete`` receives the subtree that was removed and
     ``track_copy`` the subtree that was pasted plus whatever subtree the
@@ -353,8 +365,39 @@ class ProvenanceStore(abc.ABC):
     def begin(self) -> None:
         """Start a transaction (no-op for per-operation strategies)."""
 
+    # -- writes and durability ----------------------------------------------
+    def _write(
+        self, records: Sequence[ProvRecord], category: str, batch: bool = False
+    ) -> None:
+        """Every store write: one INSERT statement (``batch``: the
+        commit-time batched write) inside the editor's transaction,
+        opening the database transaction if none is open."""
+        db = self.table.db
+        if not db.in_transaction:
+            db.begin()
+        if batch:
+            self.table.write_batch(records, category)
+        else:
+            self.table.write_statement(records, category)
+
+    def _write_pending(self) -> None:
+        """Write what the transaction kept back for its commit (nothing
+        for per-operation strategies, which write as they go)."""
+
     def commit(self) -> None:
-        """Commit the open transaction (no-op for per-operation strategies)."""
+        """Commit the open transaction: write what it kept back, then make
+        its records durable with one COMMIT and one flush.  On failure
+        the open database transaction is rolled back, and the error
+        re-raised."""
+        db = self.table.db
+        try:
+            self._write_pending()
+            if db.in_transaction:
+                db.commit()
+        except Exception:
+            if db.in_transaction:
+                db.rollback()
+            raise
 
     # -- introspection -----------------------------------------------------
     @property

@@ -6,6 +6,10 @@ provenance of descendants is inferred by the recursive view in
 :mod:`repro.core.inference`.  An update sequence ``U`` is described by a
 table with at most ``|U|`` entries (property-tested).
 
+As in the naive method, each operation gets its own Tid and writes its
+record as it happens, while durability follows the editor's transaction:
+one WAL commit (one COMMIT record, one flush) per editor ``commit``.
+
 Figure 5(c) is the hierarchical table for the paper's running example.
 """
 
@@ -57,14 +61,14 @@ class HierarchicalStore(ProvenanceStore):
     def track_insert(self, loc: Path) -> None:
         tid = self.allocate_tid()
         if not self._insert_is_inferable(tid, loc):
-            self.table.write_statement([ProvRecord(tid, OP_INSERT, loc)], "add")
+            self._write([ProvRecord(tid, OP_INSERT, loc)], "add")
 
     def track_delete(self, loc: Path, deleted: Tree) -> None:
         tid = self.allocate_tid()
-        self.table.write_statement([ProvRecord(tid, OP_DELETE, loc)], "delete")
+        self._write([ProvRecord(tid, OP_DELETE, loc)], "delete")
 
     def track_copy(
         self, dst: Path, src: Path, copied: Tree, overwritten: Optional[Tree]
     ) -> None:
         tid = self.allocate_tid()
-        self.table.write_statement([ProvRecord(tid, OP_COPY, dst, src)], "paste")
+        self._write([ProvRecord(tid, OP_COPY, dst, src)], "paste")

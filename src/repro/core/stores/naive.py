@@ -1,9 +1,13 @@
 """Naive provenance (Section 2.1.1).
 
 One provenance record per copied, inserted, or deleted *node*; each update
-operation is its own transaction.  Wasteful in space, but lossless: the
-exact update operation sequence can be recovered from the table (a
-property the test suite checks).
+operation is its own transaction in the paper's sense — it gets its own
+Tid and its records are written as it happens.  Durability follows the
+editor's transaction: the records of all its operations reach the WAL in
+one database transaction, made durable (one COMMIT, one flush) by the
+editor's ``commit``.  Wasteful in space, but lossless: the exact update
+operation sequence can be recovered from the table (a property the test
+suite checks).
 
 Figure 5(a) is the naive table for the paper's running example.
 """
@@ -26,7 +30,7 @@ __all__ = ["NaiveStore"]
 
 
 class NaiveStore(ProvenanceStore):
-    """One record per touched node, one transaction per operation.
+    """One record per touched node, one Tid per operation.
 
     Each tracking call issues one INSERT statement to the provenance
     store carrying one row per touched node — a single round trip whose
@@ -40,7 +44,7 @@ class NaiveStore(ProvenanceStore):
 
     def track_insert(self, loc: Path) -> None:
         tid = self.allocate_tid()
-        self.table.write_statement([ProvRecord(tid, OP_INSERT, loc)], "add")
+        self._write([ProvRecord(tid, OP_INSERT, loc)], "add")
 
     def track_delete(self, loc: Path, deleted: Tree) -> None:
         tid = self.allocate_tid()
@@ -48,7 +52,7 @@ class NaiveStore(ProvenanceStore):
             ProvRecord(tid, OP_DELETE, loc.join(sub))
             for sub, _node in deleted.nodes()
         ]
-        self.table.write_statement(records, "delete")
+        self._write(records, "delete")
 
     def track_copy(
         self, dst: Path, src: Path, copied: Tree, overwritten: Optional[Tree]
@@ -61,4 +65,4 @@ class NaiveStore(ProvenanceStore):
             ProvRecord(tid, OP_COPY, dst.join(sub), src.join(sub))
             for sub, _node in copied.nodes()
         ]
-        self.table.write_statement(records, "paste")
+        self._write(records, "paste")

@@ -11,7 +11,8 @@ active list (the paper's ``provlist``) is maintained in memory:
   net ``D`` record can be written;
 * at commit, the whole list is written to the provenance store in a
   single batched round trip — the reason transactional tracking is nearly
-  free per operation in Figures 9/10.
+  free per operation in Figures 9/10 — and made durable with the
+  store's one WAL commit (:meth:`ProvenanceStore.commit`).
 
 Storage for a transaction is ``i + d + c`` records, where ``i`` is the
 number of inserted nodes in the output, ``d`` the number of nodes deleted
@@ -215,17 +216,21 @@ class TransactionalStore(ProvenanceStore):
         still dead and linkless is written out in full."""
         return [loc for loc in self._dead if loc not in self._provlist]
 
-    def commit(self) -> None:
+    def _write_pending(self) -> None:
+        """The net records, in one batched write; the active list is
+        emptied even if the write fails (the store then rolls back)."""
         tid = self.allocate_tid()
-        records = self._net_records(tid)
-        if records:
-            self.table.write_batch(records, "commit")
-        else:
-            # an empty commit still costs one round trip (the commit call)
-            self.table.clock.charge(
-                "prov.commit", self.table.cost_model.round_trip_ms
-            )
-        self._provlist.clear()
-        self._dead.clear()
-        self._displaced.clear()
-        self._open = False
+        try:
+            records = self._net_records(tid)
+            if records:
+                self._write(records, "commit", batch=True)
+            else:
+                # an empty commit still costs one round trip (the commit call)
+                self.table.clock.charge(
+                    "prov.commit", self.table.cost_model.round_trip_ms
+                )
+        finally:
+            self._provlist.clear()
+            self._dead.clear()
+            self._displaced.clear()
+            self._open = False

@@ -234,33 +234,53 @@ class Database:
     # ------------------------------------------------------------------
     # DML
     # ------------------------------------------------------------------
-    def _insert_row(self, table: Table, row: "Sequence[Any] | Dict[str, Any]") -> int:
+    def _insert_rows(
+        self, table: Table, rows: Sequence["Sequence[Any] | Dict[str, Any]"]
+    ) -> List[int]:
+        """Insert ``rows`` atomically; returns their row ids.  Every row
+        is applied first and a failing one reverts those already
+        applied, so nothing of the failed statement reaches the undo log
+        or the WAL (the shape of :meth:`_delete_rows`)."""
         codec = table.schema.codec
-        stored = codec.normalize(row)
-        if self._wal is None:
-            encoded = None
-            rowid = table._insert(stored, codec.size(stored))
-        else:
-            # a logged insert encodes its row once: the bytes' length is
-            # the table's byte accounting and the WAL record carries them
-            encoded = codec.encode(stored)
-            rowid = table._insert(stored, len(encoded))
-        # undo before WAL: if the log append fails, rollback (explicit
-        # or implicit) still knows how to take the row back out
-        self._undo.append(_UndoEntry("insert", table.schema.name, rowid, stored))
-        self._log(KIND_INSERT, table.schema.name, stored, encoded)
-        return rowid
+        logged = self._wal is not None
+        applied: List[Tuple[int, Tuple[Any, ...], Optional[bytes]]] = []
+        try:
+            for row in rows:
+                stored = codec.normalize(row)
+                if logged:
+                    # a logged insert encodes its row once: the bytes'
+                    # length is the table's byte accounting and the WAL
+                    # record carries them
+                    encoded = codec.encode(stored)
+                    applied.append((table._insert(stored, len(encoded)), stored, encoded))
+                else:
+                    applied.append((table._insert(stored, codec.size(stored)), stored, None))
+        except Exception:
+            for rowid, _stored, _encoded in reversed(applied):
+                table.delete_row(rowid)
+            raise
+        table_name = table.schema.name
+        # undo before WAL: if a log append fails, rollback (explicit or
+        # implicit) still knows how to take every row back out
+        for rowid, stored, _encoded in applied:
+            self._undo.append(_UndoEntry("insert", table_name, rowid, stored))
+        for _rowid, stored, encoded in applied:
+            self._log(KIND_INSERT, table_name, stored, encoded)
+        return [rowid for rowid, _stored, _encoded in applied]
 
     def insert(self, table_name: str, row: "Sequence[Any] | Dict[str, Any]") -> int:
         table = self.table(table_name)
-        return self._statement(lambda: self._insert_row(table, row))
+        return self._statement(lambda: self._insert_rows(table, [row]))[0]
 
     def insert_many(
         self, table_name: str, rows: Sequence["Sequence[Any] | Dict[str, Any]"]
     ) -> List[int]:
-        return self._statement(
-            lambda: [self._insert_row(self.table(table_name), row) for row in rows]
-        )
+        """Transactionally insert ``rows``; returns their row ids.  The
+        statement is atomic (see :meth:`_insert_rows`): a failing row
+        leaves the table, the open transaction and the WAL as before the
+        call."""
+        table = self.table(table_name)
+        return self._statement(lambda: self._insert_rows(table, rows))
 
     def bulk_load(
         self, table_name: str, rows: Sequence["Sequence[Any] | Dict[str, Any]"]

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import repro.cli
 from repro.cli import main
+from repro.core.provenance import ProvTable
 
 
 @pytest.fixture
@@ -54,6 +56,20 @@ class TestApply:
         assert "Applied 10 operations" in out
         assert "16 records" in out  # Figure 5(a)
         assert "c4:" in out and "y: 12" in out
+
+    @pytest.mark.parametrize("method", ["N", "H", "T", "HT"])
+    def test_apply_leaves_no_transaction_open(self, session_files, capsys, monkeypatch, method):
+        tables = []
+
+        def recorded_table():
+            tables.append(ProvTable())
+            return tables[-1]
+
+        monkeypatch.setattr(repro.cli, "ProvTable", recorded_table)
+        code, _out = self._run(session_files, capsys, "--method", method)
+        assert code == 0
+        [table] = tables
+        assert not table.db.in_transaction
 
     def test_apply_ht_single_transaction(self, session_files, capsys):
         code, out = self._run(

@@ -57,3 +57,26 @@ def test_filesystem_curation(capsys):
     assert "curator_note content:" in out
     assert "localization of O00000 copied in txn: [1]" in out
     assert "version 2 has curator_note: True" in out
+
+
+def _curated_dirs(root):
+    return [name for name in os.listdir(root) if name.startswith("curated_fsdb_")]
+
+
+def test_filesystem_curation_removes_its_directory(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    run_example("filesystem_curation.py", capsys)
+    assert _curated_dirs(tmp_path) == []
+
+
+def test_filesystem_curation_removes_its_directory_on_error(capsys, monkeypatch, tmp_path):
+    import repro
+
+    def broken_archive():
+        raise RuntimeError("archive unavailable")
+
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    monkeypatch.setattr(repro, "VersionArchive", broken_archive)
+    with pytest.raises(RuntimeError, match="archive unavailable"):
+        run_example("filesystem_curation.py", capsys)
+    assert _curated_dirs(tmp_path) == []

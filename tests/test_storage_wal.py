@@ -14,6 +14,7 @@ from repro.storage import (
     Column,
     ColumnType,
     Database,
+    DuplicateKeyError,
     IndexSpec,
     TableSchema,
     TransactionError,
@@ -90,6 +91,24 @@ class TestTransactions:
         with pytest.raises(Exception):
             db.insert("prov", (1, "X", "T/a", None))  # bad op char
         assert not db.in_transaction
+
+    def test_insert_many_is_statement_atomic_in_a_transaction(self, tmp_path):
+        """A failing row takes the statement's earlier rows back out of
+        the table, and none of them reaches the WAL: the transaction
+        commits without them and recovery does not bring them back."""
+        db = Database("t", wal_dir=str(tmp_path))
+        db.create_table(schema())
+        db.insert("prov", (1, "I", "T/a", None))
+        db.begin()
+        with pytest.raises(DuplicateKeyError):
+            db.insert_many("prov", [(2, "I", "T/b", None), (1, "I", "T/a", None)])
+        assert db.table("prov").row_count == 1
+        db.insert("prov", (3, "I", "T/c", None))
+        db.commit()
+        db.crash()
+        db.recover()
+        rows = sorted(row for _rid, row in db.table("prov").scan())
+        assert rows == [(1, "I", "T/a", None), (3, "I", "T/c", None)]
 
 
 class TestWAL:
