@@ -883,95 +883,6 @@ def test_compiled_filter():
     assert speedup >= gate(1.3)
 
 
-def test_plan_cache_repeat_qps():
-    """End-to-end repeated-query throughput through ``QueryEngine.execute``:
-    one query shape, literals drawn from a Table-2 update-pattern script
-    (the curation workload's access pattern — the same provenance
-    locations probed again and again as transactions revisit a working
-    set).  The cached database answers from the plan cache (exact hits
-    when a literal repeats, statistics-snapshot re-plans otherwise);
-    the ``plan_cache_size=0`` baseline re-plans with live statistics on
-    every call.  Gate: cached throughput >= 2x uncached."""
-    from repro.storage.db import Database
-    from repro.storage.query import QueryEngine
-    from repro.workloads.patterns import generate_pattern
-    from repro.workloads.synth import (
-        mimi_like_tree,
-        organelledb_like,
-        source_subtree_paths,
-    )
-
-    rows = 1_500 * SCALE
-    repeats = 3
-    # literals come from a generated pattern script: the concrete paths
-    # its inserts/copies/deletes touch, revisited round-robin
-    source = organelledb_like(n_proteins=30, seed=5)
-    script = generate_pattern(
-        "mix", 120, mimi_like_tree(n_molecules=10, seed=6),
-        source_subtree_paths(source), seed=9,
-    )
-    locs = []
-    for update in script:
-        if hasattr(update, "path"):  # Insert / Delete
-            locs.append(f"T/{update.path}/{update.label}")
-        else:  # Copy
-            locs.append(str(update.dst))
-    assert len(locs) >= 100
-
-    schema = TableSchema(
-        "prov",
-        [
-            Column("tid", ColumnType.INT, nullable=False),
-            Column("op", ColumnType.TEXT, nullable=False),
-            Column("loc", ColumnType.TEXT, nullable=False),
-        ],
-        primary_key=("tid",),
-        indexes=(IndexSpec("prov_loc", ("loc", "tid"), ordered=True),),
-    )
-
-    def build(plan_cache_size):
-        db = Database("qps")
-        table = db.create_table(schema)
-        rng = random.Random(61)
-        batch = [
-            (i, "I", locs[i % len(locs)] if i % 3 else make_loc(rng, i))
-            for i in range(rows)
-        ]
-        table.bulk_insert(batch)
-        return QueryEngine(db, plan_cache_size=plan_cache_size)
-
-    def make_query(loc):
-        return Query(
-            TableRef("prov"),
-            where=Cmp("=", Col("loc"), Const(loc)),
-            order_by=[(Col("tid"), False)],
-        )
-
-    counts = []
-
-    def run(db):
-        total = 0
-        for _ in range(repeats):
-            for loc in locs:
-                total += len(db.execute(make_query(loc)))
-        counts.append(total)
-
-    cached_db = build(128)
-    uncached_db = build(0)
-    seed_s, new_s = gated_ab(lambda: run(uncached_db), lambda: run(cached_db), 2.0)
-    assert len(set(counts)) == 1 and counts[0] > 0  # identical answers
-    stats = cached_db.stats()["plan_cache"]
-    assert stats["hits"] > 0  # repeated literals became exact hits
-    queries = repeats * len(locs)
-    speedup = record(
-        "plan_cache_repeat_qps", seed_s, new_s, 2.0,
-        rows=rows, queries=queries,
-        cached_qps=round(queries / new_s, 1),
-        uncached_qps=round(queries / seed_s, 1),
-    )
-    assert speedup >= gate(2.0)
-
-
 def test_datalog_indexed_join():
     """Transitive closure over a chain: per-binding probes vs full-set
     unification on the ``edge`` literal (use_fact_indexes=False is the

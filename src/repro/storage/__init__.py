@@ -8,7 +8,7 @@ provenance store uses nothing else.
 
 The **query layer** above it is imported from its own modules, and no
 kernel module imports it: :mod:`~repro.storage.query` (``Query`` and
-``QueryEngine``: planning, the plan cache, EXPLAIN and predicate DML
+``QueryEngine``: planning, EXPLAIN and predicate DML
 over a ``Database``), :mod:`~repro.storage.expr`,
 :mod:`~repro.storage.plan`, :mod:`~repro.storage.sql`,
 :mod:`~repro.storage.mvcc`, :mod:`~repro.storage.server` and

@@ -6,7 +6,7 @@ store and the relational source database (the OrganelleDB stand-in).
 Transactions provide atomicity via an undo list and durability via the
 write-ahead log; ``Database.recover`` rebuilds table contents from the log
 after a simulated crash.  It knows rows, not plans: predicate DML,
-planning, the plan cache and SQL live in the query layer above it
+planning and SQL live in the query layer above it
 (:class:`repro.storage.query.QueryEngine`), which imports this module and
 never the reverse.
 """
@@ -79,12 +79,6 @@ class Database:
         #: fault-injection plan shared with the WAL and the MVCC layer's
         #: commit protocol (``None`` means no faults)
         self.faults = faults
-        #: catalog version, moved by every create/drop; the query
-        #: layer folds it into each plan-cache epoch, because a
-        #: dropped-and-recreated table could otherwise coincide with a
-        #: stale entry's (name, version) and serve plans bound to the
-        #: *old* Table object
-        self._ddl_epoch = 0
         self._wal: Optional[WriteAheadLog] = None
         self._wal_dir = wal_dir
         self._next_txn_id = 1
@@ -112,7 +106,6 @@ class Database:
         table = Table(schema)
         self.tables[schema.name] = table
         self._schemas[schema.name] = schema
-        self._ddl_epoch += 1
         return table
 
     def drop_table(self, name: str) -> None:
@@ -120,7 +113,6 @@ class Database:
             raise UnknownTableError(f"no table {name!r}")
         del self.tables[name]
         del self._schemas[name]
-        self._ddl_epoch += 1
 
     def table(self, name: str) -> Table:
         try:

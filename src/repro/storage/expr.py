@@ -198,8 +198,8 @@ def compile_expr(expr: Expr) -> "Callable[[Env], Any]":
 
     Interpreted evaluation pays an ``isinstance``-free but virtual-call-
     heavy tree walk *per row*; a plan's residual filters run that walk
-    millions of times.  Compiling flattens the tree once — at plan (or
-    plan-cache) time — into nested closures with the operator functions,
+    millions of times.  Compiling flattens the tree once — at plan
+    time — into nested closures with the operator functions,
     column names, and constants already bound, so the per-row cost is a
     few dict lookups and one call chain.
 

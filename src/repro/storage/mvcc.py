@@ -35,13 +35,12 @@ version store:
   sets) is *allowed* — that is snapshot isolation, not serializability,
   and the anomaly suite pins it down as documented behavior.
 
-Each manager plans through its own
-:class:`~repro.storage.query.QueryEngine` (``manager.engine``), and plan
-caching stays valid per snapshot because the cache's epoch gains two
-dimensions here: a ``("mvcc", S)`` component and, per table, a
-token unique to each materialized shadow (``0`` for the live table), so
-a plan bound to one snapshot's shadow can never be served against
-another's — even when their ``_version`` counters coincide.
+Transactions plan over their own tables — the snapshot view or the
+workspace of each table they read — with
+:func:`~repro.storage.query.plan_query`, so a plan is always bound to
+the snapshot that asked for it; nothing is cached across calls.
+``manager.engine`` (a :class:`~repro.storage.query.QueryEngine` over
+the live catalog) runs the server's catalog statements.
 
 Concurrency model: cooperative, not preemptive.  Transactions interleave
 at operation granularity (an asyncio server switching connections, a
@@ -50,10 +49,9 @@ completion on one thread.  That is exactly the granularity at which the
 paper's round-trip economics are measured.
 
 DDL is not versioned: ``create_table`` / ``create_index`` / ``drop``
-apply to the live catalog immediately and move ``_ddl_epoch``, which
-every plan epoch includes.  Snapshots see new indexes only on shadow
-rebuild and never retroactively — acceptable for a store whose schema
-changes are rare administrative events.
+apply to the live catalog immediately.  Snapshots see new indexes only
+on shadow rebuild and never retroactively — acceptable for a store
+whose schema changes are rare administrative events.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ from .errors import (
 )
 from .expr import Expr
 from .plan import PlanNode
-from .query import Query, QueryEngine, mutation_victims
+from .query import Query, QueryEngine, mutation_victims, plan_query
 from .sql import (
     CreateIndexStmt,
     CreateTableStmt,
@@ -105,8 +103,8 @@ class MVCCManager:
 
     Owns the commit timestamp, the commit log (the version store), the
     snapshot-view cache, the active-transaction registry that bounds how
-    much history must be retained, and the :class:`QueryEngine` whose
-    plan cache its transactions plan through.
+    much history must be retained, and a :class:`QueryEngine` over the
+    live catalog.
     """
 
     def __init__(self, db: Database, *, faults=None) -> None:
@@ -124,9 +122,6 @@ class MVCCManager:
         #: materialized shadows keyed (table, snapshot_ts); immutable
         #: once built (history ≤ S never changes)
         self._views: Dict[Tuple[str, int], Table] = {}
-        #: unique token per materialized shadow/workspace, folded into
-        #: plan-cache epochs so two shadows can never alias
-        self._view_seq = 0
         self._next_txn_id = 1
         self._active: Dict[int, "MVCCTransaction"] = {}
         self.counters: Dict[str, int] = {
@@ -148,11 +143,6 @@ class MVCCManager:
         self._active[txn.txn_id] = txn
         self.counters["begun"] += 1
         return txn
-
-    @property
-    def commit_ts(self) -> int:
-        """The timestamp of the latest commit (0 before any)."""
-        return self._commit_ts
 
     @property
     def active_count(self) -> int:
@@ -227,30 +217,9 @@ class MVCCManager:
             list(base.index_specs.values()),
             byte_size=byte_size,
         )
-        self._stamp(view)
         self._views[(name, snapshot_ts)] = view
         self.counters["views_built"] += 1
         return view
-
-    def _stamp(self, table: Table) -> None:
-        self._view_seq += 1
-        table._mvcc_view_seq = self._view_seq
-
-    def _plan_epoch(
-        self, snapshot_ts: int, tables: Dict[str, Table], names: Sequence[str]
-    ) -> Tuple[Any, ...]:
-        """Plan-cache epoch for a snapshot read: the catalog DDL counter,
-        the snapshot timestamp, and per table its shadow token (0 = live
-        table), mutation counter, and index fingerprint.  The token makes
-        epochs of distinct materializations unequal even when every other
-        component coincides."""
-        parts: List[Tuple[Any, ...]] = []
-        for name in sorted(set(names)):
-            table = tables[name]
-            fingerprint = tuple(sorted(table.index_specs.items()))
-            token = getattr(table, "_mvcc_view_seq", 0)
-            parts.append((name, token, table._version, fingerprint))
-        return (self.db._ddl_epoch, ("mvcc", snapshot_ts), tuple(parts))
 
     # ------------------------------------------------------------------
     # Commit protocol
@@ -427,7 +396,6 @@ class MVCCTransaction:
             list(src.index_specs.values()),
             byte_size=src._byte_size,
         )
-        self.manager._stamp(ws)
         self._workspace[name] = ws
         self._own_inserts[name] = set()
         return ws
@@ -458,17 +426,11 @@ class MVCCTransaction:
         return [as_dict(row) for _rowid, row in view.scan()]
 
     def plan(self, query: Query) -> PlanNode:
-        """Physical plan for ``query`` over this snapshot, through the
-        manager's plan cache with the MVCC-extended epoch."""
+        """Physical plan for ``query`` over this snapshot (plus own
+        writes)."""
         self._check_active()
-        manager = self.manager
-        names = [query.table.name] + [join.table.name for join in query.joins]
-        tables = {name: self._view(name) for name in manager.db.tables}
-        return manager.engine.cached_plan(
-            tables,
-            query,
-            lambda: manager._plan_epoch(self.snapshot_ts, tables, names),
-        )
+        tables = {name: self._view(name) for name in self.manager.db.tables}
+        return plan_query(tables, query)
 
     def execute(self, query: Query) -> List[Dict[str, Any]]:
         return list(self.plan(query).execute())

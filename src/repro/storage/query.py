@@ -53,13 +53,11 @@ full scan.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import log2
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -117,12 +115,9 @@ __all__ = [
     "TableRef",
     "JoinSpec",
     "Query",
-    "PlanCache",
-    "PlannerStats",
     "plan_query",
     "plan_mutation",
     "mutation_victims",
-    "query_fingerprint",
 ]
 
 
@@ -185,250 +180,6 @@ class Query:
     offset: int = 0
     having: Optional[Expr] = None
     distinct: bool = False
-
-
-# ----------------------------------------------------------------------
-# Planner statistics context and the plan cache
-# ----------------------------------------------------------------------
-
-
-class PlannerStats:
-    """Memo of the table statistics planning consulted.
-
-    The first planning call through a fresh instance records every
-    ``index_stats`` / ``column_histogram`` answer; replaying the same
-    instance on a later call (same query *shape*, same stats epoch)
-    answers from the memo — zero sampling against the tables, which is
-    what ``Table.stats_counts`` asserts.  A consult missing from the
-    memo (a shape would have to diverge for that) falls through to the
-    live table and is recorded.
-    """
-
-    __slots__ = ("_index_stats", "_histograms")
-
-    def __init__(self) -> None:
-        self._index_stats: Dict[Tuple[str, str], IndexStats] = {}
-        self._histograms: Dict[Tuple[str, str], Any] = {}
-
-    def index_stats(self, table: Table, name: str) -> IndexStats:
-        key = (table.schema.name, name)
-        try:
-            return self._index_stats[key]
-        except KeyError:
-            value = self._index_stats[key] = table.index_stats(name)
-            return value
-
-    def histogram(self, table: Table, column: str):
-        key = (table.schema.name, column)
-        try:
-            return self._histograms[key]
-        except KeyError:
-            value = self._histograms[key] = table.column_histogram(column)
-            return value
-
-
-#: the statistics memo the current ``plan_query`` call records into /
-#: replays from; ``None`` = consult tables directly.  A module global —
-#: not thread state — because the engine is single-threaded embedded
-#: (see ROADMAP's MVCC item); ``plan_query`` saves and restores it.
-_ACTIVE_STATS: Optional[PlannerStats] = None
-
-
-def _table_index_stats(table: Table, name: str) -> IndexStats:
-    if _ACTIVE_STATS is None:
-        return table.index_stats(name)
-    return _ACTIVE_STATS.index_stats(table, name)
-
-
-def _table_histogram(table: Table, column: str):
-    if _ACTIVE_STATS is None:
-        return table.column_histogram(column)
-    return _ACTIVE_STATS.histogram(table, column)
-
-
-def _literal(value: Any) -> Any:
-    """A hashable stand-in for one parameterized-out literal."""
-    try:
-        hash(value)
-    except TypeError:
-        return repr(value)
-    return value
-
-
-def _expr_shape(expr: Optional[Expr], literals: List[Any]) -> str:
-    """Render an expression with every literal replaced by ``?`` (the
-    values are appended to ``literals`` in rendering order)."""
-    if expr is None:
-        return "~"
-    if isinstance(expr, Const):
-        literals.append(_literal(expr.value))
-        return "?"
-    if isinstance(expr, Col):
-        return "@" + expr.name
-    if isinstance(expr, Cmp):
-        return (
-            f"({_expr_shape(expr.left, literals)}{expr.op}"
-            f"{_expr_shape(expr.right, literals)})"
-        )
-    if isinstance(expr, And):
-        return "and(" + ",".join(_expr_shape(p, literals) for p in expr.parts) + ")"
-    if isinstance(expr, Or):
-        return "or(" + ",".join(_expr_shape(p, literals) for p in expr.parts) + ")"
-    if isinstance(expr, Not):
-        return "not(" + _expr_shape(expr.inner, literals) + ")"
-    if isinstance(expr, IsNull):
-        tag = "notnull" if expr.negated else "isnull"
-        return tag + "(" + _expr_shape(expr.inner, literals) + ")"
-    if isinstance(expr, InList):
-        # the option *count* stays in the shape: the planner builds one
-        # key range per option, so different counts are different plans
-        literals.extend(_literal(option) for option in expr.options)
-        return (
-            f"in({_expr_shape(expr.inner, literals)},#{len(expr.options)})"
-        )
-    if isinstance(expr, PrefixMatch):
-        literals.append(expr.prefix)
-        return f"prefix(@{expr.column.name},?)"
-    # unknown Expr extension: repr is its identity (nothing parameterized)
-    return repr(expr)
-
-
-def query_fingerprint(query: Query) -> Tuple[str, Tuple[Any, ...]]:
-    """``(shape, literals)`` for one query: the normalized query shape
-    with literals parameterized out, plus the literal values in shape
-    order.  Two queries with equal shapes differ only in constants; the
-    shape (plus the stats epoch) keys the plan cache's statistics
-    snapshots, and ``(shape, literals)`` keys whole cached plans."""
-    literals: List[Any] = []
-    parts = [f"t:{query.table.name}/{query.table.alias or ''}"]
-    for join in query.joins:
-        pair_shapes = ",".join(
-            f"{_expr_shape(left, literals)}={_expr_shape(right, literals)}"
-            for left, right in join.pairs
-        )
-        parts.append(
-            f"j:{join.table.name}/{join.table.alias or ''}"
-            f"[{pair_shapes}|{_expr_shape(join.residual, literals)}]"
-        )
-    parts.append("w:" + _expr_shape(query.where, literals))
-    if query.outputs is None:
-        parts.append("o:*")
-    else:
-        parts.append(
-            "o:"
-            + ",".join(
-                f"{name}={_expr_shape(expr, literals)}"
-                for name, expr in query.outputs
-            )
-        )
-    parts.append(
-        "g:"
-        + ",".join(
-            f"{name}={_expr_shape(expr, literals)}" for name, expr in query.group_by
-        )
-    )
-    parts.append(
-        "a:"
-        + ",".join(
-            f"{name}={fn}:{_expr_shape(expr, literals)}"
-            for name, fn, expr in query.aggregates
-        )
-    )
-    parts.append(
-        "ord:"
-        + ",".join(
-            _expr_shape(expr, literals) + ("-" if descending else "+")
-            for expr, descending in query.order_by
-        )
-    )
-    parts.append("h:" + _expr_shape(query.having, literals))
-    # LIMIT/OFFSET/DISTINCT are plan structure (LimitNode arguments),
-    # not predicate literals — they stay in the shape
-    parts.append(f"lim:{query.limit}/{query.offset}/{int(query.distinct)}")
-    return ";".join(parts), tuple(literals)
-
-
-class PlanCache:
-    """Caches physical plans keyed on (query shape, literals, stats epoch).
-
-    Two layers, both epoch-guarded and LRU-bounded:
-
-    * **plans** — ``(shape, literals) -> plan``: an exact repeat reuses
-      the plan object outright (plans are stateless between executions);
-    * **statistics snapshots** — ``shape -> PlannerStats``: a repeat of
-      the same shape with *different* literals re-costs against the
-      recorded statistics instead of sampling the tables, then caches
-      the resulting plan under its own literals.
-
-    The epoch (built by ``QueryEngine._stats_epoch``) covers every involved
-    table's ``_version`` mutation counter and index-spec fingerprint
-    plus a catalog DDL counter, so any mutation, index DDL, or
-    drop/recreate invalidates lazily on the next lookup.  Counters:
-    ``hits`` (plan reuse), ``shape_hits`` (snapshot re-plan), ``misses``
-    (full plan with sampling), ``invalidations`` (entries discarded for
-    a stale epoch).
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        self.capacity = max(1, capacity)
-        self._plans: "OrderedDict[Tuple[Any, ...], Tuple[PlanNode, Tuple[Any, ...]]]" = (
-            OrderedDict()
-        )
-        self._snapshots: "OrderedDict[str, Tuple[PlannerStats, Tuple[Any, ...]]]" = (
-            OrderedDict()
-        )
-        self.counters: Dict[str, int] = {
-            "hits": 0,
-            "shape_hits": 0,
-            "misses": 0,
-            "invalidations": 0,
-        }
-        #: outcome of the most recent :meth:`plan` call — EXPLAIN's
-        #: cache annotation reads this
-        self.last_lookup: str = "miss"
-
-    def plan(
-        self, tables: Dict[str, Table], query: Query, epoch: Tuple[Any, ...]
-    ) -> PlanNode:
-        shape, literals = query_fingerprint(query)
-        plan_key = (shape, literals)
-        entry = self._plans.get(plan_key)
-        if entry is not None:
-            plan, plan_epoch = entry
-            if plan_epoch == epoch:
-                self.counters["hits"] += 1
-                self.last_lookup = "hit"
-                self._plans.move_to_end(plan_key)
-                return plan
-            del self._plans[plan_key]
-            self.counters["invalidations"] += 1
-        stats: Optional[PlannerStats] = None
-        snapshot_entry = self._snapshots.get(shape)
-        if snapshot_entry is not None:
-            snapshot, snapshot_epoch = snapshot_entry
-            if snapshot_epoch == epoch:
-                stats = snapshot
-                self._snapshots.move_to_end(shape)
-                self.counters["shape_hits"] += 1
-                self.last_lookup = "shape_hit"
-            else:
-                del self._snapshots[shape]
-                if entry is None:
-                    # don't double-count a lookup that already counted
-                    # its stale plan entry above
-                    self.counters["invalidations"] += 1
-        if stats is None:
-            stats = PlannerStats()
-            self.counters["misses"] += 1
-            self.last_lookup = "miss"
-        plan = plan_query(tables, query, stats=stats)
-        self._plans[plan_key] = (plan, epoch)
-        self._snapshots[shape] = (stats, epoch)
-        while len(self._plans) > self.capacity:
-            self._plans.popitem(last=False)
-        while len(self._snapshots) > self.capacity:
-            self._snapshots.popitem(last=False)
-        return plan
 
 
 def _split_predicate_for(
@@ -862,17 +613,7 @@ def _choose_access_path(
     candidates: List[_Candidate] = []
     rank = 0
 
-    # Statistics are computed lazily and cached per planning call: a
-    # query that resolves to a SeqScan or a plain probe never pays the
-    # ordered indexes' key-count sampling.
     specs = list(table.index_specs.values())
-    stats_cache: Dict[str, IndexStats] = {}
-
-    def stats_of(name: str) -> IndexStats:
-        stats = stats_cache.get(name)
-        if stats is None:
-            stats = stats_cache[name] = _table_index_stats(table, name)
-        return stats
 
     # Distinct-key counts per covered column set: any index over exactly
     # those columns measures their joint selectivity, whichever access
@@ -887,13 +628,13 @@ def _choose_access_path(
         if not distinct_by_columns:
             for spec in specs:
                 key = tuple(sorted(spec.columns))
-                keys = stats_of(spec.name).keys
+                keys = table.index_stats(spec.name).keys
                 distinct_by_columns[key] = max(distinct_by_columns.get(key, 0), keys)
         distinct = distinct_by_columns.get(tuple(sorted(columns)))
         if distinct:
             return total_rows / distinct
         return total_rows * _eq_prefix_selectivity(
-            stats_of(fallback_index), depth, width
+            table.index_stats(fallback_index), depth, width
         )
 
     # Equality candidates: indexes fully covered by equality conjuncts
@@ -917,7 +658,7 @@ def _choose_access_path(
             # ordered lookups bisect: a mixed-type or NULL-adjacent
             # probe would raise where the equivalent filter is False
             continue
-        stats = stats_of(spec.name)
+        stats = table.index_stats(spec.name)
         used = {eq_sources[column] for column in spec.columns}
         leftover = [part for part in local if part not in used]
         est = 1.0 if stats.unique else total_rows / max(1, stats.keys)
@@ -1032,7 +773,7 @@ def _choose_access_path(
             if interval is not None:
                 # histogram-measured bound tightness when available; the
                 # fixed per-bound factors remain the fallback
-                histogram = _table_histogram(table, range_column)
+                histogram = table.column_histogram(range_column)
                 if histogram is not None:
                     fraction = histogram.range_fraction(interval.low, interval.high)
             if fraction is None:
@@ -1075,7 +816,7 @@ def _choose_access_path(
             point_rows = eq_rows(
                 spec.columns[: eq_len + 1], spec.name, width, eq_len + 1
             )
-            histogram = _table_histogram(table, range_column)
+            histogram = table.column_histogram(range_column)
             est = 0.0
             for iv in part_intervals:
                 if _is_point(iv):
@@ -1468,12 +1209,12 @@ def _reorder_safe(
 def _column_distinct(table: Table, column: str) -> float:
     """Estimated distinct values of one column: histogram first, an
     index over exactly that column second, square-root heuristic last."""
-    histogram = _table_histogram(table, column)
+    histogram = table.column_histogram(column)
     if histogram is not None:
         return float(histogram.distinct)
     for spec in table.index_specs.values():
         if spec.columns == (column,):
-            return float(max(1, _table_index_stats(table, spec.name).keys))
+            return float(max(1, table.index_stats(spec.name).keys))
     return max(1.0, float(table.row_count) ** 0.5)
 
 
@@ -1487,7 +1228,7 @@ def _conjunct_selectivity(table: Table, binding: str, part: Expr) -> float:
             return 1.0
         if bound[1] == "=":
             return min(1.0, 1.0 / _column_distinct(table, column))
-        histogram = _table_histogram(table, column)
+        histogram = table.column_histogram(column)
         if histogram is not None:
             pair = (bound[2], bound[1] in (">=", "<="))
             fraction = histogram.range_fraction(
@@ -1636,7 +1377,7 @@ def _best_inlj(
                     if _bound_safe(table, spec.columns[eq_len], values):
                         tail_low, tail_high = interval.low, interval.high
                         tail_sources = set(map(id, interval.sources))
-                        histogram = _table_histogram(table, spec.columns[eq_len])
+                        histogram = table.column_histogram(spec.columns[eq_len])
                         tail_fraction = (
                             histogram.range_fraction(tail_low, tail_high)
                             if histogram is not None
@@ -2067,11 +1808,7 @@ def _naive_join_plan(
 
 
 def plan_query(
-    tables: Dict[str, Table],
-    query: Query,
-    *,
-    naive: bool = False,
-    stats: Optional[PlannerStats] = None,
+    tables: Dict[str, Table], query: Query, *, naive: bool = False
 ) -> PlanNode:
     """Compile a logical query to a physical plan.
 
@@ -2081,25 +1818,8 @@ def plan_query(
     always realized by a ``SortNode`` — the seed planner's behavior,
     kept as the oracle for differential plan-equivalence testing and
     the baseline for planner benchmarks.
-
-    ``stats`` (a :class:`PlannerStats`) records — or, when already
-    populated for this query's shape, replays — every index-stats and
-    histogram consultation: the plan cache's zero-sampling re-planning
-    path.  ``None`` consults the tables directly (the default,
-    unchanged behavior).
     """
-    global _ACTIVE_STATS
-    previous = _ACTIVE_STATS
-    _ACTIVE_STATS = None if naive else stats
-    try:
-        return _plan_query_impl(tables, query, naive=naive)
-    finally:
-        _ACTIVE_STATS = previous
 
-
-def _plan_query_impl(
-    tables: Dict[str, Table], query: Query, *, naive: bool = False
-) -> PlanNode:
     def get_table(ref: TableRef) -> Table:
         try:
             return tables[ref.name]
@@ -2240,22 +1960,20 @@ def mutation_victims(
 
 
 class QueryEngine:
-    """Planning, the plan cache, EXPLAIN, SQL and predicate DML over one
-    storage-kernel :class:`~repro.storage.db.Database` (rows,
-    transactions, rowid DML, the WAL), which knows nothing of plans.
+    """Planning, EXPLAIN, SQL and predicate DML over one storage-kernel
+    :class:`~repro.storage.db.Database` (rows, transactions, rowid DML,
+    the WAL), which knows nothing of plans.
 
-    Owns the :class:`PlanCache` and its stats epoch;
-    ``plan_cache_size=0`` disables caching (every ``plan`` call re-plans
-    with live statistics, the benchmark baseline).  Its statement
-    surface is the one :class:`~repro.storage.mvcc.MVCCTransaction` has,
-    so :func:`repro.storage.sql.execute_sql` serves both.
+    Every ``plan`` call plans afresh: the statistics the cost model
+    reads are constant-time or cached in the kernel (see
+    ``Table.index_stats`` and ``Table.column_histogram``).  Its
+    statement surface is the one
+    :class:`~repro.storage.mvcc.MVCCTransaction` has, so
+    :func:`repro.storage.sql.execute_sql` serves both.
     """
 
-    def __init__(self, db: Database, *, plan_cache_size: int = 128) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.plan_cache: Optional[PlanCache] = (
-            PlanCache(plan_cache_size) if plan_cache_size > 0 else None
-        )
 
     # the kernel calls a SQL statement makes
     def table(self, name: str) -> Table:
@@ -2275,45 +1993,10 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def cached_plan(
-        self,
-        tables: Dict[str, Table],
-        query: Query,
-        epoch: Callable[[], Tuple[Any, ...]],
-    ) -> PlanNode:
-        """Plan ``query`` over ``tables`` through the plan cache: the one
-        cached-planning path.  :meth:`plan` passes the live tables with
-        :meth:`_stats_epoch`, an MVCC transaction its snapshot's tables
-        with a snapshot epoch; ``epoch`` is called only when caching is
-        on.  An exact repeat (same shape, literals and epoch) returns
-        the cached plan; a same-shape repeat with new literals re-costs
-        against the cached statistics snapshot without sampling."""
-        if self.plan_cache is None:
-            return plan_query(tables, query)
-        return self.plan_cache.plan(tables, query, epoch())
-
-    def _stats_epoch(self, query: Query) -> Tuple[Any, ...]:
-        """The plan-cache epoch for every table ``query`` touches:
-        the kernel's catalog version plus, per table, its ``_version``
-        mutation counter and index-spec fingerprint.  Any insert,
-        delete, update, ``create_index``, or drop/recreate moves some
-        component, so stale cache entries can never match."""
-        names = {query.table.name}
-        names.update(join.table.name for join in query.joins)
-        parts: List[Tuple[Any, ...]] = []
-        for name in sorted(names):
-            table = self.db.table(name)
-            fingerprint = tuple(sorted(table.index_specs.items()))
-            parts.append((name, table._version, fingerprint))
-        return (self.db._ddl_epoch, tuple(parts))
-
     def plan(self, query: Query, *, naive: bool = False) -> PlanNode:
         """The physical plan for ``query``; ``naive=True`` forces the
-        rule-free SeqScan+Sort oracle plan (differential testing), which
-        bypasses the cache."""
-        if naive:
-            return plan_query(self.db.tables, query, naive=True)
-        return self.cached_plan(self.db.tables, query, lambda: self._stats_epoch(query))
+        rule-free SeqScan+Sort oracle plan (differential testing)."""
+        return plan_query(self.db.tables, query, naive=naive)
 
     def plan_mutation(
         self, table_name: str, predicate: Optional[Expr] = None, *, naive: bool = False
@@ -2324,12 +2007,7 @@ class QueryEngine:
         return plan_mutation(self.db.table(table_name), predicate, naive=naive)
 
     def explain(
-        self,
-        query: Query,
-        *,
-        naive: bool = False,
-        estimates: bool = False,
-        cache_status: bool = False,
+        self, query: Query, *, naive: bool = False, estimates: bool = False
     ) -> str:
         """EXPLAIN: the plan for ``query`` rendered as indented text.
 
@@ -2337,15 +2015,10 @@ class QueryEngine:
         every access path and join operator (``est_rows=N``) — the
         figures the cost model ranked candidates and join orders by, so
         a surprising plan can be traced to the estimate that caused it.
-        ``cache_status=True`` prefixes a ``plan cache: hit|shape_hit|
-        miss`` line reporting how this very call resolved.  The default
-        output matches :func:`repro.storage.plan.explain` exactly
-        (snapshot-stable across estimator changes).
+        The default output matches :func:`repro.storage.plan.explain`
+        exactly (snapshot-stable across estimator changes).
         """
-        rendered = explain_plan(self.plan(query, naive=naive), estimates=estimates)
-        if cache_status and not naive and self.plan_cache is not None:
-            rendered = f"plan cache: {self.plan_cache.last_lookup}\n{rendered}"
-        return rendered
+        return explain_plan(self.plan(query, naive=naive), estimates=estimates)
 
     # ------------------------------------------------------------------
     # Statements
@@ -2357,10 +2030,8 @@ class QueryEngine:
         """Parse a SQL statement once for repeated execution.
 
         ``?`` placeholders mark bind positions; each ``execute(params)``
-        substitutes values and runs through the plan cache, so repeated
-        executions skip parsing entirely and planning re-samples no
-        table statistics (same shape ⇒ cached stats snapshot; same
-        values ⇒ the whole cached plan).
+        substitutes values into the parsed statement and runs it, so
+        repeated executions skip parsing entirely.
         """
         from .sql import PreparedStatement  # deferred: sql.py imports this module
 
@@ -2401,18 +2072,3 @@ class QueryEngine:
         """
         victims = mutation_victims(self.db.table(table_name), predicate, naive=naive)
         return len(self.db.update_rowids(table_name, victims, changes))
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, Dict[str, int]]:
-        """The kernel's per-table figures plus the plan cache's counters
-        under the reserved ``"plan_cache"`` key (hits / shape_hits /
-        misses / invalidations; all zero when caching is disabled)."""
-        out = self.db.stats()
-        out["plan_cache"] = (
-            dict(self.plan_cache.counters)
-            if self.plan_cache is not None
-            else {"hits": 0, "shape_hits": 0, "misses": 0, "invalidations": 0}
-        )
-        return out

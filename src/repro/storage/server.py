@@ -228,7 +228,7 @@ class DatabaseServer:
             txn.rollback()
             return {}
         if kind == "stats":
-            return self.manager.engine.stats()
+            return self.manager.db.stats()
         if kind == "mvcc_counters":
             return dict(self.manager.counters)
 

@@ -24,7 +24,7 @@ to use the engine the way CPDB used MySQL, with readable tests.
 ``QueryEngine.prepare(sql)`` parses a statement once with ``?``
 placeholders in literal positions and returns a
 :class:`PreparedStatement` whose ``execute(params)`` binds values and
-runs through the plan cache — no re-parse, no statistics re-sampling.
+runs it without parsing again.
 A bare ``?`` passed to :func:`execute_sql` is rejected.
 """
 
@@ -704,11 +704,9 @@ class PreparedStatement:
 
     ``?`` placeholders mark literal positions (predicates, IN lists,
     BETWEEN bounds, LIKE patterns, INSERT values, UPDATE assignments).
-    Each :meth:`execute` substitutes the bound values and runs through
-    the engine's plan cache: the query *shape* is stable across
-    executions, so repeated runs reuse the cached planner-statistics
-    snapshot (or the whole plan, when values repeat) instead of
-    re-parsing and re-sampling.
+    Each :meth:`execute` substitutes the bound values into the parsed
+    statement and runs it through the engine, so repeated runs skip
+    parsing.
     """
 
     def __init__(self, engine: QueryEngine, sql: str) -> None:

@@ -247,16 +247,6 @@ class Table:
         self.access_counts: Counter = Counter(
             scan=0, eq_lookup=0, multi_range_scan=0, inlj_probe=0
         )
-        #: planner-statistics consultation counters — ``index_stats`` and
-        #: ``histogram_probe`` count calls, ``histogram_build`` counts
-        #: actual (cache-missing) sample builds.  The plan cache's
-        #: "second execution samples nothing" contract is asserted
-        #: against these.
-        self.stats_counts: Dict[str, int] = {
-            "index_stats": 0,
-            "histogram_probe": 0,
-            "histogram_build": 0,
-        }
         for spec in schema.indexes:
             self.create_index(spec)
         #: name of the unique index enforcing the primary key (None: no key)
@@ -296,9 +286,9 @@ class Table:
         self._indexes[spec.name] = index
         self._index_specs[spec.name] = spec
         self._key_getters[spec.name] = key_of
-        # index DDL changes the viable access paths *and* the statistics
-        # surface (ordered indexes feed histogram sampling), so it must
-        # move the stats epoch or cached histograms/plans survive stale
+        # index DDL changes the statistics surface (ordered indexes feed
+        # histogram sampling), so it must move the mutation counter or
+        # cached histograms survive stale
         self._version += 1
 
     def _add_pk_index(self) -> None:
@@ -349,14 +339,15 @@ class Table:
         """Statistics for the planner's cost model, without exposing the
         index object itself: kind, uniqueness, entry count, and a
         distinct-key figure (exact for hash indexes, a bounded-sample
-        estimate for ordered ones)."""
-        self.stats_counts["index_stats"] += 1
+        estimate for ordered ones).  The entry count is the live-row
+        count, an O(1) read: every live row has exactly one entry in
+        every index (ordered indexes reject NULL keys)."""
         index = self._indexes[name]
         spec = self._index_specs[name]
         return IndexStats(
             ordered=spec.ordered,
             unique=index.unique,
-            entries=len(index),
+            entries=len(self._rows),
             keys=index.key_count(),
         )
 
@@ -410,7 +401,6 @@ class Table:
         even stride over the heap.  Sampling knobs:
         ``HISTOGRAM_SAMPLE`` values, ``HISTOGRAM_BINS`` bins.
         """
-        self.stats_counts["histogram_probe"] += 1
         cached = self._histograms.get(column)
         if cached is not None and cached[0] == self._version:
             return cached[1]
@@ -419,7 +409,6 @@ class Table:
         return histogram
 
     def _build_histogram(self, column: str) -> Optional[Histogram]:
-        self.stats_counts["histogram_build"] += 1
         if not self.schema.has_column(column):
             return None
         if self.schema.column(column).type not in _HISTOGRAM_TYPES:
@@ -533,7 +522,7 @@ class Table:
                         self._reject_unordered_key(name, key)
             if index.unique and (
                 len(set(keys)) != len(keys)
-                or (len(index) and any(map(index.contains, keys)))
+                or (self._rows and any(map(index.contains, keys)))
             ):
                 seen: Set[Tuple[Any, ...]] = set()
                 for key in keys:
@@ -763,16 +752,13 @@ class Table:
                 return {"rows": rows, "bytes": size}
 
     def counters_snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Point-in-time *copies* of the access-path and planner-stats
-        counters — safe to iterate, diff, or serialize while the live
-        dicts keep moving under a concurrent writer (iterating the
-        shared dicts directly raises ``RuntimeError: dictionary changed
-        size`` the day a counter key is added mid-iteration, and yields
-        torn mixes of before/after values every day)."""
-        return {
-            "access": dict(self.access_counts),
-            "stats": dict(self.stats_counts),
-        }
+        """A point-in-time *copy* of the access-path counters — safe to
+        iterate, diff, or serialize while the live dict keeps moving
+        under a concurrent writer (iterating the shared dict directly
+        raises ``RuntimeError: dictionary changed size`` the day a
+        counter key is added mid-iteration, and yields torn mixes of
+        before/after values every day)."""
+        return {"access": dict(self.access_counts)}
 
     @classmethod
     def _from_snapshot(

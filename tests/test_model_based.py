@@ -18,12 +18,13 @@ from repro.core.tree import Tree
 from repro.storage import (
     Column,
     ColumnType,
+    ConstraintError,
     Database,
     DuplicateKeyError,
     IndexSpec,
     TableSchema,
 )
-from repro.storage.table import Table
+from repro.storage.index import OrderedIndex
 from repro.xmldb.store import XMLDatabase, XMLDBError
 
 # ``REPRO_HYPOTHESIS_PROFILE=ci`` derandomizes every property here (same
@@ -61,30 +62,70 @@ table_ops = st.lists(
             st.just("bulk"),
             st.lists(st.tuples(st.integers(0, 9), _values), min_size=1, max_size=3),
         ),
+        # a transaction of inserts, deletes and key changes, rolled back
+        st.tuples(
+            st.just("rollback"),
+            st.lists(
+                st.tuples(st.sampled_from(["insert", "delete", "rekey"]),
+                          st.integers(0, 9), st.integers(0, 9)),
+                min_size=1,
+                max_size=4,
+            ),
+        ),
     ),
     max_size=30,
 )
 
 
+def _index_entries(table, name):
+    """The ``(key, rowid)`` entries index ``name`` actually holds, read
+    off its own structure (not its statistics)."""
+    index = table._indexes[name]
+    if isinstance(index, OrderedIndex):
+        return sorted(index.items())
+    return sorted(
+        (key, rowid) for key, bucket in index._buckets.items() for rowid in bucket
+    )
+
+
+def _rolled_back(db, ops, rowid_of):
+    """Apply ``ops`` inside one transaction, then roll it back."""
+    db.begin()
+    for kind, key, other in ops:
+        try:
+            if kind == "insert":
+                db.insert("t", (key, "r"))
+            elif kind == "delete" and key in rowid_of:
+                db.delete_rowids("t", [rowid_of[key]])
+            elif kind == "rekey" and key in rowid_of:
+                db.update_rowids("t", [rowid_of[key]], {"k": other})
+        except ConstraintError:
+            pass  # a duplicate key, or a row this transaction deleted
+    db.rollback()
+
+
 class TestTableAgainstDictModel:
     """The primary key is an ordinary unique index; these ops drive every
     path that maintains it (insert, bulk insert, delete, value update,
-    key-changing update) against a dict keyed by primary key — on a bare
-    schema, and on one whose declared *non-unique* index covers exactly
-    the key (so the key is still enforced by an added unique index)."""
+    key-changing update, a rolled-back transaction) against a dict keyed
+    by primary key — on a bare schema, and on one whose declared
+    *non-unique* index covers exactly the key (so the key is still
+    enforced by an added unique index)."""
 
     @settings(max_examples=60, **_PROFILE)
     @given(table_ops)
     def test_table_matches_model(self, ops):
-        self.check_against_model(Table(_table_schema()), ops)
+        self.check_against_model(_table_schema(), ops)
 
     @settings(max_examples=60, **_PROFILE)
     @given(table_ops)
     def test_table_with_nonunique_key_index_matches_model(self, ops):
         schema = _table_schema((IndexSpec("t_k", ("k",), ordered=True),))
-        self.check_against_model(Table(schema), ops)
+        self.check_against_model(schema, ops)
 
-    def check_against_model(self, table, ops):
+    def check_against_model(self, schema, ops):
+        db = Database("m")
+        table = db.create_table(schema)
         model = {}
         rowid_of = {}
         for op in ops:
@@ -122,6 +163,8 @@ class TestTableAgainstDictModel:
                         table.update_row(rowid_of[key], {"k": new_key})
                         rowid_of[new_key] = rowid_of.pop(key)
                         model[new_key] = model.pop(key)
+            elif op[0] == "rollback":
+                _rolled_back(db, op[1], rowid_of)
             else:  # bulk: all-or-nothing
                 _kind, batch = op
                 keys = [key for key, _value in batch]
@@ -145,8 +188,12 @@ class TestTableAgainstDictModel:
             for key in range(10):
                 if key not in model:
                     assert table.lookup_pk((key,)) is None
+            live = list(table.scan())
             for name in table.index_specs:
-                assert table.index_stats(name).entries == len(model)
+                key_of = table._key_getters[name]
+                assert _index_entries(table, name) == sorted(
+                    (key_of(row), rowid) for rowid, row in live
+                )
         # final full-scan agreement
         assert {row[0]: row[1] for _rid, row in table.scan()} == model
 

@@ -11,10 +11,10 @@ isolation contract:
 * **phantoms** — a snapshot's ``IndexRangeScan`` results (one range or
   a multi-range union) must not change when concurrent commits insert
   or delete rows inside the scanned ranges;
-* **plan-cache staleness** — cached plans are bound to concrete
-  ``Table`` objects, so a plan cached against one snapshot's shadow (or
-  the live table) must never be served for another snapshot, and
-  concurrent index DDL must invalidate mid-transaction.
+* **stale plans** — plans are bound to concrete ``Table`` objects, so a
+  query in one snapshot must never read another snapshot's shadow (or
+  the live table), and concurrent index DDL mid-transaction must not
+  change its answers.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.storage import Database, WriteConflictError
 from repro.storage.expr import Cmp, Col, Const, InList
 from repro.storage.mvcc import MVCCManager
 from repro.storage.plan import explain
-from repro.storage.query import Query, QueryEngine, TableRef
+from repro.storage.query import Query, TableRef
 from repro.storage.schema import Column, IndexSpec, TableSchema
 from repro.storage.types import ColumnType
 
@@ -233,7 +233,7 @@ class TestPhantoms:
 
 
 # ----------------------------------------------------------------------
-# Plan-cache staleness across snapshots and concurrent DDL
+# Plans never read another snapshot's tables, across commits and DDL
 # ----------------------------------------------------------------------
 class TestPlanCacheStaleness:
     QUERY = Query(TableRef("t"), where=Cmp(">=", Col("v"), Const(20)))
@@ -241,8 +241,8 @@ class TestPlanCacheStaleness:
     def test_plan_cached_per_snapshot_never_aliases(self):
         """A plan is bound to concrete Table objects.  After a commit,
         an old snapshot reads through a shadow while a fresh one reads
-        the live table; equal (shape, literals) MUST NOT share the
-        cached plan across them — that would silently read the wrong
+        the live table; the same query MUST NOT read one snapshot's
+        tables for the other — that would silently read the wrong
         table version."""
         db = _db()
         mgr = MVCCManager(db)
@@ -259,29 +259,25 @@ class TestPlanCacheStaleness:
         # and the old snapshot still gets its own answer afterwards
         assert reader.execute(self.QUERY) == old_rows
 
-    def test_repeat_execution_in_one_snapshot_hits_cache(self):
+    def test_repeat_execution_in_one_snapshot_is_stable(self):
         db = _db()
         mgr = MVCCManager(db)
         reader = mgr.begin()
         first = reader.execute(self.QUERY)
         assert reader.execute(self.QUERY) == first
-        assert mgr.engine.plan_cache.last_lookup == "hit"
 
     def test_concurrent_index_ddl_invalidates_mid_transaction(self):
-        """Index DDL on the live table while a transaction has a cached
-        plan: the epoch must move (version + index fingerprint), the
-        plan must be rebuilt, and results must be unchanged."""
+        """Index DDL on the live table in the middle of a transaction:
+        the transaction's results are unchanged."""
         db = _db()
         mgr = MVCCManager(db)
         reader = mgr.begin()
         first = reader.execute(self.QUERY)
         assert reader.execute(self.QUERY) == first
-        assert mgr.engine.plan_cache.last_lookup == "hit"
 
         db.table("t").create_index(IndexSpec("by_n", ("n",), ordered=True))
 
         assert reader.execute(self.QUERY) == first
-        assert mgr.engine.plan_cache.last_lookup != "hit"  # epoch moved, replanned
 
     def test_drop_and_recreate_table_does_not_serve_stale_plan(self):
         db = _db()
@@ -339,9 +335,7 @@ class TestTornReadSafeStats:
     def test_database_stats_uses_snapshots(self):
         db = _db()
         table = db.table("t")
-        stats = QueryEngine(db).stats()
-        assert stats["t"] == {"rows": 8, "bytes": table._byte_size}
-        assert "plan_cache" in stats
+        assert db.stats()["t"] == {"rows": 8, "bytes": table._byte_size}
 
     def test_counters_snapshot_is_detached(self):
         db = _db()

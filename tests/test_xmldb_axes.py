@@ -199,6 +199,27 @@ class TestAxisDifferential:
         # the answer came off the encoding indexes, never a tree walk
         assert after["multi_range_scan"] > before["multi_range_scan"]
 
+    def test_evaluate_store_applies_leaf_predicates(self) -> None:
+        """Leaf-equality predicates filter the store's candidates the
+        way the tree walk filters its own."""
+        db = XMLDatabase()
+        db.load_tree(Tree.from_dict({
+            "proteins": {
+                "P1": {"loc": "serum", "name": "albumin"},
+                "P2": {"loc": "cell", "name": "actin"},
+                "P3": {"loc": "serum", "sub": {"loc": "cell"}},
+            },
+        }))
+        for expression, expected in [
+            ("proteins/*[loc='serum']/name", ["proteins/P1/name"]),
+            ("//*[loc='cell']", ["proteins/P2", "proteins/P3/sub"]),
+            ("proteins/P2[loc='serum']", []),
+        ]:
+            xp = XPath(expression)
+            got = xp.evaluate_store(db)
+            assert [str(path) for path in got] == expected
+            assert got == xp.evaluate(db.subtree(Path()))
+
     @given(tree=trees(max_leaves=12), data=st.data())
     @settings(
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],

@@ -47,7 +47,7 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
     "docs/ARCHITECTURE.md": [
         "The index lifecycle",
         "Hierarchy encoding & XPath acceleration",
-        "Plan cache & the statistics epoch",
+        "Planner statistics",
         "Join planning & histograms",
         "Durability & failure model",
         "Concurrency & MVCC",
