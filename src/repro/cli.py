@@ -20,10 +20,10 @@
     python -m repro recover SNAPSHOT --wal-dir DIR [--name db] \
            [--mode strict|tolerant] [--json]
         Rebuild a database from a checksummed snapshot plus its WAL and
-        print the recovery report (transactions replayed/aborted/
-        dropped, torn-tail and quarantined bytes, corruption site if
-        any) and the recovered per-table row counts.  ``--mode strict``
-        (the default) fails on the first corrupt WAL record; ``tolerant``
+        print the recovery report (transactions replayed/dropped,
+        torn-tail and quarantined bytes, corruption site if any) and
+        the recovered per-table row counts.  ``--mode strict`` (the
+        default) fails on the first corrupt WAL frame; ``tolerant``
         replays the longest clean committed prefix.
 
 Trees are JSON objects: nested objects are interior nodes, scalars are

@@ -161,7 +161,7 @@ class CurationEditor:
         """Commit the open transaction; returns the transaction id of the
         new reference version.  This is the provenance store's durability
         point for every strategy: the transaction's records reach the WAL
-        with one COMMIT and one flush (per-operation strategies keep
+        as one WAL frame and one fsync (per-operation strategies keep
         their per-operation Tids).  It is also the archive/metadata
         point."""
         self.store.commit()

@@ -304,14 +304,12 @@ class ProvenanceStore(abc.ABC):
     durability unit.  The first write after a commit opens a database
     transaction; every later write of the editor's transaction joins
     it, and ``commit()`` closes whatever transaction is open with one
-    COMMIT record and one WAL flush.  Per-operation strategies (N, H)
-    still give each action its own Tid and write its records at once;
+    WAL frame and one fsync.  Per-operation strategies (N, H) still
+    give each action its own Tid and write its records at once;
     net-effect strategies (T, HT) write theirs at commit.  A commit with
-    nothing written writes nothing.  If the commit fails, the store
-    rolls back the open transaction and re-raises; the next action
-    starts a fresh one.  That includes a transaction whose BEGIN record
-    failed to append: the database leaves it open and poisoned, so the
-    commit refuses it and rolls it back.
+    nothing written writes nothing.  If the commit fails (its frame
+    write or fsync), the store rolls back the open transaction and
+    re-raises; the next action starts a fresh one.
 
     ``track_delete`` receives the subtree that was removed and
     ``track_copy`` the subtree that was pasted plus whatever subtree the
@@ -386,7 +384,7 @@ class ProvenanceStore(abc.ABC):
 
     def commit(self) -> None:
         """Commit the open transaction: write what it kept back, then make
-        its records durable with one COMMIT and one flush.  On failure
+        its records durable with one WAL frame and one fsync.  On failure
         the open database transaction is rolled back, and the error
         re-raised."""
         db = self.table.db

@@ -8,7 +8,7 @@ table with at most ``|U|`` entries (property-tested).
 
 As in the naive method, each operation gets its own Tid and writes its
 record as it happens, while durability follows the editor's transaction:
-one WAL commit (one COMMIT record, one flush) per editor ``commit``.
+one WAL commit (one frame, one fsync) per editor ``commit``.
 
 Figure 5(c) is the hierarchical table for the paper's running example.
 """

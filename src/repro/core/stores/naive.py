@@ -4,7 +4,7 @@ One provenance record per copied, inserted, or deleted *node*; each update
 operation is its own transaction in the paper's sense — it gets its own
 Tid and its records are written as it happens.  Durability follows the
 editor's transaction: the records of all its operations reach the WAL in
-one database transaction, made durable (one COMMIT, one flush) by the
+one database transaction, made durable (one WAL frame, one fsync) by the
 editor's ``commit``.  Wasteful in space, but lossless: the exact update
 operation sequence can be recovered from the table (a property the test
 suite checks).

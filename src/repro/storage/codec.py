@@ -87,6 +87,12 @@ class RowCodec:
             else (_COLUMN_TYPES[column.type][1],)
             for column in schema.columns
         )
+        #: per column, the value tag ``decode`` expects and whether it
+        #: takes NULL (where ``normalize`` keeps NULL)
+        self._decoding = tuple(
+            (tag, type(None) in accepted)
+            for tag, accepted in zip(self._tags, self._accepted)
+        )
         #: CHAR columns, whose strings must also be one character long
         self._chars = tuple(
             position
@@ -191,10 +197,16 @@ class RowCodec:
     def decode(self, data: bytes, offset: int = 0) -> Tuple[Row, int]:
         """Decode the length-prefixed row starting at ``offset``.
 
-        Returns ``(row, next_offset)``.  Values are read by their tags.
-        A truncated prefix, body or value, an unknown tag, a text value
-        that is not UTF-8, or bytes left over in the body all raise
-        :class:`WALError`.
+        Returns ``(row, next_offset)``.  The row is checked as
+        :meth:`normalize` would check it, so a caller may store it
+        without normalizing it again: each value's tag must be its
+        column's (a CHAR may carry a non-ASCII character as text), NULL
+        only where ``normalize`` keeps NULL, a CHAR one character.  The
+        bytes read are also the row's canonical encoding (an ASCII CHAR
+        never as text, a BOOL only as 0 or 1), so their length is the
+        row's :meth:`size`.  A violation, a truncated prefix, body or
+        value, an unknown tag, a text value that is not UTF-8, or bytes
+        left over in the body all raise :class:`WALError`.
         """
         if offset + 4 > len(data):
             raise WALError("truncated row length prefix")
@@ -208,33 +220,51 @@ class RowCodec:
         append = values.append
         at = 0
         try:
-            for _ in self._tags:
+            for expected, nullable in self._decoding:
                 tag = body[at]
                 at += 1
-                if tag == _TAG_TEXT:
+                if tag == _TAG_TEXT and (expected == _TAG_TEXT or expected == _TAG_CHAR):
                     (size,) = unpack_length(body, at)
                     at += 4
                     raw = body[at : at + size]
                     if len(raw) != size:
                         raise WALError("truncated text value")
-                    append(raw.decode("utf-8"))
+                    value = raw.decode("utf-8")
+                    if expected == _TAG_CHAR and (len(value) != 1 or size == 1):
+                        raise WALError(
+                            f"value {len(values)} is not a non-ASCII CHAR: {value!r}"
+                        )
+                    append(value)
                     at += size
-                elif tag == _TAG_INT:
-                    append(_INT.unpack_from(body, at)[0])
-                    at += 8
-                elif tag == _TAG_NULL:
+                elif tag == expected:
+                    if tag == _TAG_INT:
+                        append(_INT.unpack_from(body, at)[0])
+                        at += 8
+                    elif tag == _TAG_CHAR:
+                        code = body[at]
+                        if code > 0x7F:
+                            raise WALError(f"CHAR value {len(values)} is not ASCII")
+                        append(chr(code))
+                        at += 1
+                    elif tag == _TAG_REAL:
+                        append(_REAL.unpack_from(body, at)[0])
+                        at += 8
+                    else:  # _TAG_BOOL
+                        flag = body[at]
+                        if flag > 1:
+                            raise WALError(f"BOOL value {len(values)} is {flag}")
+                        append(flag == 1)
+                        at += 1
+                elif tag == _TAG_NULL and nullable:
                     append(None)
-                elif tag == _TAG_CHAR:
-                    append(chr(body[at]))
-                    at += 1
-                elif tag == _TAG_REAL:
-                    append(_REAL.unpack_from(body, at)[0])
-                    at += 8
-                elif tag == _TAG_BOOL:
-                    append(bool(body[at]))
-                    at += 1
-                else:
+                elif tag > _TAG_CHAR:
                     raise WALError(f"unknown value tag {tag}")
+                else:
+                    column = self._columns[len(values)]
+                    raise WALError(
+                        f"value {len(values)} has tag {tag}, which column "
+                        f"{column.name!r} ({column.type.value}) does not take"
+                    )
         except (struct.error, IndexError) as exc:
             raise WALError(
                 f"truncated row: value {len(values)} of {len(self._tags)} ({exc})"

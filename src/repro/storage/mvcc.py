@@ -427,9 +427,12 @@ class MVCCTransaction:
 
     def plan(self, query: Query) -> PlanNode:
         """Physical plan for ``query`` over this snapshot (plus own
-        writes)."""
+        writes).  Only the tables the query names get a view: a view of
+        a table changed since the snapshot is a shadow built for it."""
         self._check_active()
-        tables = {name: self._view(name) for name in self.manager.db.tables}
+        catalog = self.manager.db.tables
+        names = [query.table.name, *(join.table.name for join in query.joins)]
+        tables = {name: self._view(name) for name in names if name in catalog}
         return plan_query(tables, query)
 
     def execute(self, query: Query) -> List[Dict[str, Any]]:

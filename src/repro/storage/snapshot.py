@@ -31,7 +31,7 @@ Durability hardening:
   time, and every read in the loader is bounds-checked so no
   corruption surfaces as a raw ``struct.error``/``IndexError``;
 * ``wal_watermark`` records the WAL LSN the snapshot contains state up
-  to, so recovery can skip WAL records the snapshot already holds —
+  to, so recovery can skip WAL frames the snapshot already holds —
   which is what makes a crash *during* checkpoint truncation safe.
 
 Crash points (see :class:`~repro.common.faults.FaultPlan`):
@@ -239,7 +239,7 @@ def load_snapshot(
     and any version other than v2 is refused.  ``wal_dir`` re-attaches
     a write-ahead log (for a subsequent ``Database.recover()`` of the
     post-snapshot suffix); the snapshot's WAL watermark is carried onto
-    the returned database so recovery skips records the snapshot
+    the returned database so recovery skips frames the snapshot
     already contains.
     """
     with open(path, "rb") as handle:
@@ -278,6 +278,8 @@ def load_snapshot(
 
     db = Database(name, wal_dir=wal_dir)
     db._wal_watermark = watermark
+    if db._wal is not None:
+        db._wal.lsn_floor = watermark
     for _table in range(table_count):
         name_len = reader.u16("table name length")
         table_name = reader.text(name_len, "table name")
@@ -298,6 +300,7 @@ def load_snapshot(
         row_count = reader.u32(f"row count of {table_name!r}")
         decode = schema.codec.decode
         rows: List[Any] = []
+        rows_start = reader.offset
         for row_index in range(row_count):
             if reader.offset >= body_end:
                 raise StorageError(
@@ -314,11 +317,12 @@ def load_snapshot(
                 ) from exc
             rows.append(row)
         if rows:
-            # fast path: snapshot rows were valid when written, so skip
-            # the per-row transaction bookkeeping of insert_many; the
-            # batch lands in one heap append and the table's indexes are
+            # fast path: the codec checked each row as normalize would
+            # and the bytes read are the rows' encodings, so the batch
+            # lands without per-row transaction bookkeeping, normalizing
+            # or sizing, in one heap append, and the table's indexes are
             # bulk-built (sort-then-chunk) rather than grown row by row
-            db.bulk_load(table_name, rows)
+            db.table(table_name)._bulk_insert(rows, reader.offset - rows_start)
     return db
 
 

@@ -502,6 +502,12 @@ class Table:
         the constant's note).
         """
         normalized = list(map(self._codec.normalize, rows))
+        return self._bulk_insert(normalized, sum(map(self._codec.size, normalized)))
+
+    def _bulk_insert(self, normalized: List[Row], size: int) -> List[int]:
+        """:meth:`bulk_insert` of rows the codec already checked as
+        ``normalize`` would (``RowCodec.decode``'s, in WAL recovery and
+        snapshot loading), whose encodings total ``size`` bytes."""
         if not normalized:
             return []
         first = self._next_rowid
@@ -537,7 +543,7 @@ class Table:
         self._stats_seq += 1
         try:
             self._rows.update(zip(rowids, normalized))
-            self._byte_size += sum(map(self._codec.size, normalized))
+            self._byte_size += size
             for row in normalized:
                 self._stats_add(row)
             self._next_rowid = rowids[-1] + 1
@@ -750,15 +756,6 @@ class Table:
             size = self._byte_size
             if seq == self._stats_seq and seq % 2 == 0:
                 return {"rows": rows, "bytes": size}
-
-    def counters_snapshot(self) -> Dict[str, Dict[str, int]]:
-        """A point-in-time *copy* of the access-path counters — safe to
-        iterate, diff, or serialize while the live dict keeps moving
-        under a concurrent writer (iterating the shared dict directly
-        raises ``RuntimeError: dictionary changed size`` the day a
-        counter key is added mid-iteration, and yields torn mixes of
-        before/after values every day)."""
-        return {"access": dict(self.access_counts)}
 
     @classmethod
     def _from_snapshot(

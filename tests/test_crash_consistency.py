@@ -8,13 +8,15 @@ recovery from the WAL:
 
 * the provenance rows are exactly the live rows at the last
   ``editor.commit()`` (none before the first commit);
-* at most one transaction is dropped (the open, uncommitted one);
+* no transaction is dropped: an uncommitted transaction never reaches
+  the WAL, and crashes here fall between writes, never inside one;
 * Src/Hist/Mod on the recovered store answer exactly as an uncrashed
   run stopped at that commit.
 
-A failed WAL append mid-transaction makes ``editor.commit()`` raise; the
-store rolls that transaction back, the next one commits normally, and
-recovery holds only the committed transactions.
+A failed write or fsync of a transaction's WAL frame makes
+``editor.commit()`` raise; the store rolls that transaction back, the
+next one commits normally, and recovery holds only the committed
+transactions.
 
 The target has no durability: only the provenance store is recovered.
 """
@@ -34,7 +36,7 @@ from repro.core.provenance import ProvTable
 from repro.core.queries import ProvenanceQueries
 from repro.core.stores import make_store
 from repro.core.updates import parse_script
-from repro.storage import Database, TransactionError, WALError
+from repro.storage import Database, WALError
 from repro.wrappers.memory import MemorySourceDB, MemoryTargetDB
 
 from .conftest import FIGURE3_SCRIPT, make_s1, make_s2, make_t_initial
@@ -132,7 +134,7 @@ def test_crash_recovers_the_last_committed_transaction(drawn, commit_every, meth
         editor.store.table.db.crash()
         recovered, report = reopen(method, wal_dir)
         assert rows(recovered) == live_rows
-        assert report.txns_dropped <= 1
+        assert report.txns_dropped == 0
         assert report.corruption is None
 
         uncrashed = session(method, target, sources)
@@ -142,12 +144,26 @@ def test_crash_recovers_the_last_committed_transaction(drawn, commit_every, meth
         assert answers(recovered, reference_tree) == answers(uncrashed.store, reference_tree)
 
 
-@pytest.mark.parametrize("failing_append", [1, 2], ids=["begin", "first_row"])
+#: fault -> (actions of the second transaction applied before the fault
+#: is armed, which syscall of its commit fails: 1 the frame write, 2
+#: the frame's fsync).  A commit makes only those two syscalls.
+FAULTS = {
+    "begin": (0, 1),
+    # armed after the first action: its rows were staged without I/O,
+    # so the fault still lands on the commit's frame write
+    "first_row": (1, 1),
+    "fsync": (0, 2),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
 @pytest.mark.parametrize("method", METHODS)
-def test_failed_append_rolls_back_only_its_transaction(method, failing_append, tmp_path):
-    """Figure 3's script in transactions of three actions; one WAL append
-    of the second transaction fails: its BEGIN record (the database
-    leaves that transaction open and poisoned) or its first row."""
+def test_failed_append_rolls_back_only_its_transaction(method, fault, tmp_path):
+    """Figure 3's script in transactions of three actions; the second
+    transaction's commit fails, at the write of its WAL frame or at
+    that frame's fsync.  Every method stages its rows without I/O, so
+    the error surfaces on ``commit`` wherever the fault was armed."""
+    armed_after, failing_call = FAULTS[fault]
     plan = FaultPlan()
     sources = {"S1": make_s1(), "S2": make_s2()}
     editor = session(method, make_t_initial(), sources, wal_dir=str(tmp_path), faults=plan)
@@ -156,19 +172,15 @@ def test_failed_append_rolls_back_only_its_transaction(method, failing_append, t
 
     play(editor, ops[:3] + [COMMIT])
     first_rows = rows(store)
-    # write, flush and fsync calls are counted together (FaultPlan.fail_io)
-    plan.fail_io(on_call=plan._calls + failing_append)
     failed_from = store.next_tid
-    failed_actions = 0
-    for op in ops[3:6]:
-        try:
-            editor.apply(op)
-        except WALError:  # per-operation methods write as they go
-            failed_actions += 1
-    with pytest.raises((WALError, TransactionError)):
+    play(editor, ops[3 : 3 + armed_after])
+    # write, flush and fsync calls are counted together (FaultPlan.fail_io)
+    plan.fail_io(on_call=plan._calls + failing_call)
+    play(editor, ops[3 + armed_after : 6])
+    assert not plan.fired  # no action of the transaction did I/O
+    with pytest.raises(WALError):
         editor.commit()
-    assert plan.fired
-    assert failed_actions == (0 if store.transactional else 1)
+    assert plan.fired == [f"eio@{('write', 'fsync')[failing_call - 1]}:provstore.wal.000001"]
     assert not store.table.db.in_transaction
     assert rows(store) == first_rows
     failed_tids = set(range(failed_from, store.next_tid))

@@ -41,7 +41,7 @@ from repro.storage import (
 )
 from repro.storage.client import FlakyTransport, RetryPolicy, StoreClient
 from repro.storage.snapshot import checkpoint, load_snapshot, save_snapshot
-from repro.storage.wal import KIND_BEGIN, WalRecord, WriteAheadLog
+from repro.storage.wal import KIND_INSERT, WriteAheadLog
 
 _PROFILES = {
     "default": {"max_examples": 60, "deadline": None},
@@ -152,7 +152,8 @@ class TestFaultPlan:
 
 
 def _build_log(tmp_path, n_txns=3):
-    """A clean single-segment v2 log of ``n_txns`` committed txns."""
+    """A clean single-segment log of ``n_txns`` committed txns, one
+    frame each."""
     db = Database("w", wal_dir=str(tmp_path))
     db.create_table(schema())
     for i in range(n_txns):
@@ -186,17 +187,17 @@ class TestWALCorruptionMatrix:
 
     def test_bit_flip_tolerant_replays_clean_prefix(self, tmp_path):
         segment, data = _build_log(tmp_path)
-        # corrupt the second transaction's BEGIN record: find its offset
-        ends, offset = [], 16
-        while offset + 16 <= len(data):
+        # corrupt the second transaction's frame: find its offset
+        starts, offset = [], 16
+        while offset + 24 <= len(data):
             (length,) = struct.unpack_from("<I", data, offset)
-            ends.append(offset)
-            offset += 16 + length
-        target = ends[3]  # records 0-2 are txn 1 (BEGIN, INSERT, COMMIT)
+            starts.append(offset)
+            offset += 24 + length
+        target = starts[1]  # frame 0 is txn 1
         with open(segment, "r+b") as handle:
-            handle.seek(target + 16)
+            handle.seek(target + 24)  # its first op's kind byte
             byte = handle.read(1)
-            handle.seek(target + 16)
+            handle.seek(target + 24)
             handle.write(bytes([byte[0] ^ 1]))
         db = _fresh_db(tmp_path)
         report = db.recover(mode="tolerant")
@@ -217,21 +218,29 @@ class TestWALCorruptionMatrix:
         assert report.corruption is None
 
     def test_short_write_surfaces_as_torn_tail(self, tmp_path):
-        plan = FaultPlan().short_write(on_write=3, drop_bytes=4)
+        plan = FaultPlan().short_write(on_write=2, drop_bytes=4)
         db = Database("w", wal_dir=str(tmp_path), faults=plan)
         db.create_table(schema())
-        db.insert("t", (1, "a"))  # BEGIN, INSERT(shortened), COMMIT
-        db.crash()
+        db.insert("t", (1, "a"))
+        # the frame write lies about its length; the file position does
+        # not, so the commit fails instead of acknowledging a torn frame
+        with pytest.raises(WALError, match="short write"):
+            db.insert("t", (2, "b"))
         assert plan.fired  # the fault actually happened
+        assert sorted(row for _r, row in db.table("t").scan()) == [(1, "a")]
+        db.crash()
         db2 = _fresh_db(tmp_path)
-        report = db2.recover(mode="tolerant")
-        # the shortened INSERT shifts every later byte: the record chain
-        # breaks there, and nothing after it can be trusted
-        assert report.txns_replayed == 0
-        assert db2.table("t").row_count == 0
-        assert report.corruption is not None or report.torn_tail_bytes > 0
+        report = db2.recover(mode="strict")
+        # the shortened frame is the log's torn tail: dropped, and the
+        # frame before it replayed
+        assert report.txns_replayed == 1
+        assert report.txns_dropped == 1
+        assert report.torn_tail_bytes == 47 - 4  # a 47-byte frame, short by 4
+        assert report.corruption is None
+        assert sorted(row for _r, row in db2.table("t").scan()) == [(1, "a")]
 
     def test_eio_on_append_is_a_typed_error(self, tmp_path):
+        # a commit's syscalls are the frame write (1) and its fsync (2)
         plan = FaultPlan().fail_io(on_call=2)
         db = Database("w", wal_dir=str(tmp_path), faults=plan)
         db.create_table(schema())
@@ -251,11 +260,89 @@ class TestWALCorruptionMatrix:
 
     def test_lsn_continues_across_truncate(self, tmp_path):
         log = WriteAheadLog(str(tmp_path / "w.wal"), {"t": schema()})
-        for _ in range(3):
-            log.append(WalRecord(KIND_BEGIN, 1))
+        row = schema().codec.encode((1, "a"))
+        for txn_id in range(1, 4):
+            log.append((KIND_INSERT, "t", row))
+            assert log.flush(txn_id) == txn_id  # one LSN per frame
         assert log.last_lsn() == 3
         log.truncate()
-        assert log.append(WalRecord(KIND_BEGIN, 2)) == 4  # never reset
+        log.append((KIND_INSERT, "t", row))
+        assert log.flush(4) == 4  # never reset
+
+    def test_v2_segment_is_refused(self, tmp_path):
+        """The record-per-row v2 format has no reader: its segments are
+        refused with a typed error naming the version, by recovery and
+        by the appender alike."""
+        segment = tmp_path / "w.wal.000001"
+        # a v2 segment header (base LSN 1) and its first BEGIN record
+        segment.write_bytes(
+            struct.pack("<4sBBHQ", b"WAL2", 2, ALG_CRC32, 0, 1)
+            + bytes.fromhex("09000000e7338c440100000000000000000700000000000000")
+        )
+        db = _fresh_db(tmp_path)
+        with pytest.raises(WALCorruptionError, match="unsupported WAL segment version 2") as info:
+            db.recover(mode="strict")
+        assert info.value.offset == 4
+        report = db.recover(mode="tolerant")
+        assert report.txns_replayed == 0
+        assert report.bytes_quarantined == segment.stat().st_size
+        with pytest.raises(WALCorruptionError):
+            db.insert("t", (1, "a"))
+        assert db.table("t").row_count == 0
+
+
+# ----------------------------------------------------------------------
+# A failed frame write or fsync
+# ----------------------------------------------------------------------
+#: fault -> (how to plan it, bytes of the failed 70-byte frame it leaves
+#: in the segment).  Each hits the second transaction's commit: its
+#: frame write is the plan's second write, and its fsync the fourth
+#: syscall (write, fsync, write, fsync).
+FRAME_FAULTS = {
+    "short_write": (lambda plan: plan.short_write(on_write=2, drop_bytes=7), 63),
+    "torn_write": (lambda plan: plan.tear_write(on_write=2, keep_bytes=30), 30),
+    "eio_write": (lambda plan: plan.fail_io(on_call=3), 0),
+    "eio_fsync": (lambda plan: plan.fail_io(on_call=4), 70),
+}
+
+
+class TestFailedFrameWrite:
+    """A frame write or fsync that fails leaves bytes past the last
+    sealed frame — a prefix of the frame, or all of it.  They are
+    truncated away before the next frame is written, so a later commit
+    is never buried behind them and a strict recovery replays exactly
+    the transactions whose commit returned."""
+
+    @pytest.mark.parametrize("fault", sorted(FRAME_FAULTS))
+    def test_next_commit_truncates_the_failed_frame(self, tmp_path, fault):
+        plan = FaultPlan()
+        configure, left = FRAME_FAULTS[fault]
+        configure(plan)
+        db = Database("w", wal_dir=str(tmp_path), faults=plan)
+        db.create_table(schema())
+        db.insert("t", (1, "a"))
+        [segment] = db._wal.segment_paths()
+        sealed = os.path.getsize(segment)
+        db.begin()
+        db.insert("t", (2, "b"))
+        db.insert("t", (3, "c"))
+        with pytest.raises((WALError, SimulatedCrash)):
+            db.commit()
+        assert plan.fired
+        assert os.path.getsize(segment) == sealed + left
+        db.rollback()
+        db.insert("t", (4, "d"))
+        assert [row for _r, row in db.table("t").scan()] == [(1, "a"), (4, "d")]
+        db.crash()
+
+        fresh = _fresh_db(tmp_path)
+        report = fresh.recover(mode="strict")
+        assert report.txns_replayed == 2
+        assert report.txns_dropped == 0
+        assert report.torn_tail_bytes == 0
+        assert report.corruption is None
+        assert sorted(row for _r, row in fresh.table("t").scan()) == [(1, "a"), (4, "d")]
+        assert [frame.lsn for frame in fresh._wal.scan()] == [1, 2]
 
 
 class TestRecoveryReport:
@@ -267,7 +354,7 @@ class TestRecoveryReport:
         db.insert("t", (2, "b"))
         db.insert("t", (3, "c"))
         db.commit()
-        db.begin()                         # txn 3: aborted
+        db.begin()                         # txn 3: rolled back
         db.insert("t", (4, "d"))
         db.rollback()
         db.begin()                         # txn 4: open at the crash
@@ -276,19 +363,24 @@ class TestRecoveryReport:
 
         fresh = _fresh_db(tmp_path)
         report = fresh.recover(mode="strict")
+        # one frame per committed transaction; the rolled-back and the
+        # open transaction never reached the log
         assert report.as_dict() == {
             "mode": "strict",
             "segments_scanned": 1,
-            "records_scanned": 12,
+            "records_scanned": 2,
             "txns_replayed": 2,
-            "txns_aborted": 1,
-            "txns_dropped": 1,
+            "txns_dropped": 0,
             "records_skipped": 0,
             "torn_tail_bytes": 0,
             "bytes_quarantined": 0,
             "corruption": None,
         }
-        assert "2 txn(s) replayed" in report.summary()
+        assert report.summary() == (
+            "recovery (strict): 2 txn(s) replayed, 0 dropped\n"
+            "  scanned 2 frame(s) in 1 segment(s), skipped 0 below the "
+            "snapshot watermark"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -414,6 +506,33 @@ class TestCheckpointCrashMatrix:
         assert report.corruption is None
         rows = sorted(row for _r, row in recovered.table("t").scan())
         assert rows == committed, f"crash at {point} lost committed state"
+
+    def test_commit_after_a_restart_from_a_checkpoint_survives(self, tmp_path):
+        """A checkpoint removes every segment.  A database restarted
+        from its snapshot numbers new frames above the snapshot's
+        watermark, so recovery after the next crash replays them
+        instead of skipping them as already snapshotted."""
+        wal_dir = str(tmp_path)
+        db = Database("db", wal_dir=wal_dir)
+        db.create_table(schema())
+        for i in range(3):
+            db.insert("t", (i, f"a{i}"))
+        snap = os.path.join(wal_dir, "db.snap")
+        checkpoint(db, snap)
+        assert db._wal.segment_paths() == []
+        db.crash()
+
+        restarted = load_snapshot(snap, name="db", wal_dir=wal_dir)
+        restarted.recover()
+        restarted.insert("t", (100, "post"))
+        restarted.crash()
+
+        final = load_snapshot(snap, name="db", wal_dir=wal_dir)
+        report = final.recover(mode="strict")
+        assert report.txns_replayed == 1
+        assert report.records_skipped == 0
+        rows = sorted(row for _r, row in final.table("t").scan())
+        assert rows == [(0, "a0"), (1, "a1"), (2, "a2"), (100, "post")]
 
     def test_post_crash_checkpoint_completes(self, tmp_path):
         """After a mid-truncate crash, the recovered database can

@@ -25,15 +25,7 @@ from repro.storage.errors import SchemaError, UnknownColumnError, WALError
 from repro.storage.schema import Column, TableSchema
 from repro.storage.snapshot import load_snapshot, save_snapshot
 from repro.storage.types import ColumnType, coerce_value
-from repro.storage.wal import (
-    KIND_BEGIN,
-    KIND_COMMIT,
-    KIND_DELETE,
-    KIND_INSERT,
-    WalRecord,
-    WriteAheadLog,
-    _encode_payload,
-)
+from repro.storage.wal import KIND_DELETE, KIND_INSERT, WriteAheadLog
 
 # ``REPRO_HYPOTHESIS_PROFILE=ci`` derandomizes the properties here (same
 # example budgets), so a codec regression fails deterministically.  No
@@ -75,25 +67,25 @@ GOLDEN_HEX = [
     "150000000000030a0000006e61c3af766520e2988305430400",
     "1f00000001000000000000004002000000000000e0bf0306000000542f63312f790000",
 ]
-#: BEGIN, INSERT row 0, DELETE row 1, COMMIT of txn 7, CRC-32 sealed
+#: txn 7's ops: INSERT row 0, DELETE row 1 (kind, u16 name length,
+#: "golden", the row's encoding)
+GOLDEN_OPS_HEX = (
+    "010600676f6c64656e2000000001fbffffffffffffff02000000000000084003000000"
+    "000302000000c3a90401020600676f6c64656e150000000000030a0000006e61c3af76"
+    "6520e2988305430400"
+)
+#: a segment holding txn 7's frame, CRC-32 sealed: the segment header
+#: (magic, version 3, alg 0, base LSN 1), the frame header (79 bytes of
+#: ops, crc, LSN 1, txn 7), then the ops
 GOLDEN_SEGMENT_HEX = (
-    "57414c3202000000010000000000000009000000e7338c44010000000000000000070000"
-    "0000000000350000000b18993d02000000000000000307000000000000000600676f6c64"
-    "656e2000000001fbffffffffffffff02000000000000084003000000000302000000c3a9"
-    "04012a00000038f5764203000000000000000407000000000000000600676f6c64656e15"
-    "0000000000030a0000006e61c3af766520e29883054304000900000028cb59a704000000"
-    "00000000010700000000000000"
+    "57414c32030000000100000000000000"
+    "4f0000003cdcd23f01000000000000000700000000000000" + GOLDEN_OPS_HEX
 )
 
 
-def golden_records(schema):
+def golden_ops(schema):
     rows = [schema.normalize_row(row) for row in GOLDEN_ROWS]
-    return [
-        WalRecord(KIND_BEGIN, 7),
-        WalRecord(KIND_INSERT, 7, "golden", rows[0]),
-        WalRecord(KIND_DELETE, 7, "golden", rows[1]),
-        WalRecord(KIND_COMMIT, 7),
-    ]
+    return [(KIND_INSERT, "golden", rows[0]), (KIND_DELETE, "golden", rows[1])]
 
 
 class TestGoldenBytes:
@@ -116,29 +108,34 @@ class TestGoldenBytes:
         log = WriteAheadLog(
             str(tmp_path / "g.wal"), {"golden": schema}, checksum_alg=ALG_CRC32
         )
-        for record in golden_records(schema):
-            log.append(record)
+        for kind, table, row in golden_ops(schema):
+            log.append((kind, table, schema.codec.encode(row)))
+        assert log.flush(7) == 1
         log.close()
         (segment,) = log.segment_paths()
         with open(segment, "rb") as handle:
             assert handle.read().hex() == GOLDEN_SEGMENT_HEX
-        scanned = list(log.scan())
-        assert [(r.kind, r.row) for r in scanned] == [
-            (r.kind, r.row) for r in golden_records(schema)
+        [frame] = log.scan()
+        assert (frame.lsn, frame.txn_id) == (1, 7)
+        assert frame.ops == [
+            (kind, table, row, len(schema.codec.encode(row)))
+            for kind, table, row in golden_ops(schema)
         ]
 
-    def test_pre_encoded_record_logs_the_same_payload(self):
-        schema = golden_schema()
-        schemas = {"golden": schema}
-        for record in golden_records(schema):
-            if record.row is None:
-                continue
-            carried = WalRecord(
-                record.kind, record.txn_id, record.table, record.row,
-                encoded=schema.codec.encode(record.row),
-            )
-            assert _encode_payload(carried, schemas) == _encode_payload(record, schemas)
-            assert carried == record  # the carried bytes are not part of equality
+    def test_pre_encoded_record_logs_the_same_payload(self, tmp_path):
+        """An insert logs the bytes it sized its row from; a delete
+        encodes its row as it logs it.  Both give the golden ops."""
+        db = Database("g", wal_dir=str(tmp_path))
+        db.create_table(golden_schema())
+        db.insert("golden", GOLDEN_ROWS[1])
+        db.begin()
+        db.insert("golden", GOLDEN_ROWS[0])
+        db.delete_rowids("golden", [1])
+        db.commit()
+        (segment,) = db._wal.segment_paths()
+        with open(segment, "rb") as handle:
+            # the second frame: txn 2's id ends its header, its ops follow
+            assert handle.read().hex().endswith("0200000000000000" + GOLDEN_OPS_HEX)
 
     def test_snapshot_row_section_pinned(self, tmp_path):
         db = Database("g")
@@ -256,6 +253,111 @@ class TestTypedDecodeErrors:
             codec.decode(_with_body(b"\x00\x00"))
         with pytest.raises(WALError, match="not UTF-8"):
             codec.decode(_with_body(b"\x03\x01\x00\x00\x00\xff"))
+
+
+# ----------------------------------------------------------------------
+# Decode checks what normalize checks
+# ----------------------------------------------------------------------
+@st.composite
+def stored_rows(draw):
+    """A schema with random nullability and defaults, and a row as the
+    table stores it (normalized)."""
+    columns = [
+        Column(
+            f"c{i}",
+            kind,
+            nullable=draw(st.booleans()),
+            default=draw(st.none() | _DEFAULTS[kind]),
+        )
+        for i, kind in enumerate(
+            draw(st.lists(st.sampled_from(list(ColumnType)), min_size=1, max_size=5))
+        )
+    ]
+    schema = TableSchema("t", columns)
+    row = tuple(
+        draw(_VALUES[column.type] | st.none())
+        if column.nullable or column.default is not None
+        else draw(_VALUES[column.type])
+        for column in columns
+    )
+    return schema, schema.codec.normalize(row)
+
+
+#: values a "set" mutation writes: every value tag, and bytes either side
+#: of the ASCII boundary
+_BYTES = [0, 1, 2, 3, 4, 5, 0x7F, 0x80, 0xE9, 0xFF]
+
+
+class TestDecodeValidates:
+    """WAL recovery stores decoded rows without normalizing them, so
+    ``decode`` rejects every row ``normalize`` would not pass through
+    unchanged, and every encoding that is not the row's own."""
+
+    def schema(self):
+        return TableSchema(
+            "t",
+            [
+                Column("i", ColumnType.INT, nullable=False),
+                Column("c", ColumnType.CHAR),
+                Column("d", ColumnType.TEXT, default="x"),
+                Column("b", ColumnType.BOOL),
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # a REAL where the INT column is
+            (struct.pack("<Bd", 2, 1.0) + b"\x00\x00\x00", "value 0 has tag 2"),
+            # NULL in a NOT NULL column
+            (b"\x00\x00\x00\x00", "value 0 has tag 0"),
+            # NULL in a column whose default replaces NULL
+            (struct.pack("<Bq", 1, 5) + b"\x00\x00\x00", "value 2 has tag 0"),
+            # a CHAR byte past ASCII
+            (struct.pack("<Bq", 1, 5) + b"\x05\xe9", "CHAR value 1 is not ASCII"),
+            # an ASCII CHAR, or two characters, as text
+            (struct.pack("<Bq", 1, 5) + b"\x03\x01\x00\x00\x00C", "not a non-ASCII CHAR"),
+            (struct.pack("<Bq", 1, 5) + b"\x03\x02\x00\x00\x00CC", "not a non-ASCII CHAR"),
+            # a BOOL other than 0 or 1
+            (struct.pack("<Bq", 1, 5) + b"\x00\x03\x00\x00\x00\x00\x04\x02", "BOOL value 3 is 2"),
+        ],
+    )
+    def test_rejects_what_normalize_would_not_pass(self, body, message):
+        with pytest.raises(WALError, match=message):
+            self.schema().codec.decode(_with_body(body))
+
+    def test_accepts_a_non_ascii_char_as_text(self):
+        codec = self.schema().codec
+        row = (5, "é", "", False)
+        assert codec.decode(codec.encode(row)) == (row, codec.size(row))
+
+    @settings(max_examples=300, **_PROFILE)
+    @given(st.data())
+    def test_decode_of_any_cut_or_flip_is_an_error_or_a_normal_row(self, data):
+        schema, stored = data.draw(stored_rows())
+        codec = schema.codec
+        encoded = codec.encode(stored)
+        assert codec.decode(encoded) == (stored, len(encoded))
+        mutation = data.draw(st.sampled_from(["cut", "flip", "set"]))
+        position = data.draw(st.integers(0, len(encoded) - 1))
+        if mutation == "cut":
+            mutated = encoded[:position]
+        else:
+            changed = bytearray(encoded)
+            if mutation == "flip":
+                changed[position] ^= 1 << data.draw(st.integers(0, 7))
+            else:  # a byte set to another tag, or past ASCII
+                changed[position] = data.draw(st.sampled_from(_BYTES))
+            mutated = bytes(changed)
+        try:
+            decoded, end = codec.decode(mutated)
+        except WALError:
+            return
+        # a row normalize passes through as it is, and the bytes read
+        # are its own encoding, so their length is its size
+        assert codec.normalize(decoded) is decoded
+        assert codec.encode(decoded) == mutated[:end]
+        assert codec.size(decoded) == end
 
 
 # ----------------------------------------------------------------------

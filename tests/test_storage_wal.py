@@ -22,10 +22,9 @@ from repro.storage import (
 from repro.storage.expr import Cmp, Col, Const
 from repro.storage.query import QueryEngine
 from repro.storage.wal import (
-    KIND_COMMIT,
     KIND_DELETE,
     KIND_INSERT,
-    WalRecord,
+    WalFrame,
     WriteAheadLog,
     coalesce_replay,
 )
@@ -111,28 +110,70 @@ class TestTransactions:
         assert rows == [(1, "I", "T/a", None), (3, "I", "T/c", None)]
 
 
+def stage(log, kind, row, table="prov"):
+    """Stage one row operation the way ``Database`` does."""
+    log.append((kind, table, schema().codec.encode(row)))
+
+
 class TestWAL:
     def test_record_roundtrip(self, tmp_path):
         schemas = {"prov": schema()}
         log = WriteAheadLog(str(tmp_path / "w.wal"), schemas)
-        log.append(WalRecord(KIND_INSERT, 5, "prov", (1, "C", "T/a", "S/a")))
-        log.append(WalRecord(KIND_COMMIT, 5))
+        stage(log, KIND_INSERT, (1, "C", "T/a", "S/a"))
+        stage(log, KIND_DELETE, (2, "I", "T/b", None))
+        assert log.flush(5) == 1
+        assert log.flush(6) is None  # nothing staged: nothing written
         log.close()
-        records = list(log.scan(mode="tolerant"))
-        assert len(records) == 2
-        assert records[0].row == (1, "C", "T/a", "S/a")
-        assert records[1].kind_name == "COMMIT"
+        frames = list(log.scan(mode="tolerant"))
+        assert frames == [
+            WalFrame(1, 5, [
+                # sizes: 4-byte prefix, INT 9, CHAR 2, TEXT 5 + len, NULL 1
+                (KIND_INSERT, "prov", (1, "C", "T/a", "S/a"), 31),
+                (KIND_DELETE, "prov", (2, "I", "T/b", None), 24),
+            ])
+        ]
 
     def test_torn_tail_tolerated(self, tmp_path):
         schemas = {"prov": schema()}
         path = str(tmp_path / "w.wal")
         log = WriteAheadLog(path, schemas)
-        log.append(WalRecord(KIND_INSERT, 1, "prov", (1, "I", "T/a", None)))
+        stage(log, KIND_INSERT, (1, "I", "T/a", None))
+        log.flush(1)
         log.close()
         [segment] = log.segment_paths()
         with open(segment, "ab") as handle:
-            handle.write(b"\x40\x00\x00\x00partial")  # truncated record
+            handle.write(b"\x40\x00\x00\x00partial")  # truncated frame
         assert len(list(log.scan(mode="tolerant"))) == 1
+
+    def test_discarded_ops_never_reach_the_log(self, tmp_path):
+        log = WriteAheadLog(str(tmp_path / "w.wal"), {"prov": schema()})
+        stage(log, KIND_INSERT, (1, "I", "T/a", None))
+        log.discard()
+        stage(log, KIND_INSERT, (2, "I", "T/b", None))
+        log.flush(2)
+        [frame] = log.scan()
+        assert [op[2] for op in frame.ops] == [(2, "I", "T/b", None)]
+
+    def test_crash_leaves_the_segment_as_of_the_last_commit(self, tmp_path):
+        """A crash with staged rows writes none of them: the segment
+        ends at the last sealed frame, and recovery drops nothing."""
+        db = Database("t", wal_dir=str(tmp_path))
+        db.create_table(schema())
+        db.insert("prov", (1, "I", "T/a", None))
+        [segment] = db._wal.segment_paths()
+        committed_size = os.path.getsize(segment)
+        db.begin()
+        db.insert("prov", (2, "I", "T/b", None))
+        db.insert("prov", (3, "I", "T/c", None))
+        db.crash()
+        assert os.path.getsize(segment) == committed_size
+        report = db.recover()
+        assert report.txns_replayed == 1
+        assert report.txns_dropped == 0
+        assert report.torn_tail_bytes == 0
+        assert sorted(row for _rid, row in db.table("prov").scan()) == [
+            (1, "I", "T/a", None)
+        ]
 
     def test_replay_skips_uncommitted(self, tmp_path):
         db = Database("t", wal_dir=str(tmp_path))
@@ -145,7 +186,8 @@ class TestWAL:
         db.crash()
         report = db.recover()
         assert report.txns_replayed == 1
-        assert report.txns_dropped == 1
+        # the open transaction's rows were staged, never written
+        assert report.txns_dropped == 0
         assert db.table("prov").row_count == 1
 
 
@@ -201,17 +243,18 @@ class TestCrashRecovery:
         """Section 5: a transaction log records *what rows changed*, not
         where copied data came from.  After recovery, the only way to
         know T/a was copied from S1/a is the provenance row itself —
-        the WAL records carry no cross-database source field."""
+        the WAL frames carry no cross-database source field."""
         db = Database("t", wal_dir=str(tmp_path))
         db.create_table(schema())
         db.begin()
         db.insert("prov", (1, "C", "T/a", "S1/a"))
         db.commit()
-        kinds = {record.kind_name for record in db._wal.scan(mode="tolerant")}
-        assert kinds == {"BEGIN", "INSERT", "COMMIT"}
+        [frame] = db._wal.scan(mode="tolerant")
         # WAL rows are opaque tuples tied to tables; no update semantics
-        for record in db._wal.scan(mode="tolerant"):
-            assert not hasattr(record, "copy_source")
+        assert [(kind, table) for kind, table, _row, _size in frame.ops] == [
+            (KIND_INSERT, "prov")
+        ]
+        assert not hasattr(frame, "copy_source")
 
 
 class TestCoalescedReplay:
@@ -219,22 +262,27 @@ class TestCoalescedReplay:
     grouping must preserve per-table operation order exactly."""
 
     def test_coalesce_groups_across_transactions(self):
-        records = [
-            WalRecord(KIND_INSERT, 1, "a", (1,)),
-            WalRecord(KIND_INSERT, 1, "b", (10,)),
-            WalRecord(KIND_INSERT, 2, "a", (2,)),
-            WalRecord(KIND_DELETE, 2, "a", (1,)),
-            WalRecord(KIND_INSERT, 2, "a", (3,)),
+        frames = [
+            WalFrame(1, 1, [
+                (KIND_INSERT, "a", (1,), 13),
+                (KIND_INSERT, "b", (10,), 13),
+            ]),
+            WalFrame(2, 2, [
+                (KIND_INSERT, "a", (2,), 13),
+                (KIND_DELETE, "a", (1,), 13),
+                (KIND_INSERT, "a", (3,), 13),
+            ]),
         ]
-        ops = list(coalesce_replay(records))
+        ops = list(coalesce_replay(frames))
         # the delete flushes table a's pending run but leaves b's alone;
         # b's run (buffered first) flushes ahead of a's re-opened run at
-        # the end — only per-table order is guaranteed
+        # the end — only per-table order is guaranteed.  A run carries
+        # its rows' total encoded size.
         assert ops == [
-            ("bulk_insert", "a", [(1,), (2,)]),
-            ("delete", "a", (1,)),
-            ("bulk_insert", "b", [(10,)]),
-            ("bulk_insert", "a", [(3,)]),
+            ("bulk_insert", "a", [(1,), (2,)], 26),
+            ("delete", "a", (1,), 13),
+            ("bulk_insert", "b", [(10,)], 13),
+            ("bulk_insert", "a", [(3,)], 13),
         ]
 
     def test_recovery_with_pk_reinsert_cycle(self, tmp_path):
@@ -300,19 +348,18 @@ class TestCoalescedReplay:
 
 
 class TestCrashPointMatrix:
-    """Replay truncated logs at every record boundary (and torn
-    mid-record points) around insert/update/delete operations: recovery
-    must always reproduce exactly the state as of the last COMMIT record
-    that survived the truncation — never a partial transaction."""
+    """Replay truncated logs at every frame boundary (and torn
+    mid-frame points) around insert/update/delete operations: recovery
+    must always reproduce exactly the state as of the last frame that
+    survived the truncation — never a partial transaction."""
 
     def _run_workload(self, wal_dir):
         """A workload exercising all three logged mutation shapes.
 
         Returns ``(wal_path, states)`` where ``states[k]`` is the sorted
-        committed row set after the k-th COMMIT record (``states[0]`` is
-        the empty pre-commit state).  An aborted and a dangling open
-        transaction are interleaved so truncation points landing inside
-        them must fall back to the previous committed state.
+        committed row set after the k-th commit (``states[0]`` is the
+        empty pre-commit state).  An aborted and a dangling open
+        transaction are interleaved; neither may leave a frame.
         """
         db = Database("m", wal_dir=wal_dir)
         db.create_table(schema())
@@ -355,21 +402,21 @@ class TestCrashPointMatrix:
         [segment] = db._wal.segment_paths()
         return segment, states
 
-    def _record_ends(self, data):
-        """Byte offsets just past each v2 record, with the record kind.
+    def _frame_ends(self, data):
+        """Byte offsets just past each frame.
 
         Offsets are absolute within the segment file: a 16-byte segment
-        header, then records framed as u32 length + u32 crc + u64 lsn.
+        header, then frames headed by u32 ops length + u32 crc + u64 lsn
+        + u64 txn id.
         """
         ends = []
         offset = 16  # past the segment header
-        while offset + 16 <= len(data):
+        while offset + 24 <= len(data):
             (length,) = struct.unpack_from("<I", data, offset)
-            if offset + 16 + length > len(data):
+            if offset + 24 + length > len(data):
                 break
-            kind = data[offset + 16]
-            offset += 16 + length
-            ends.append((offset, kind))
+            offset += 24 + length
+            ends.append(offset)
         return ends
 
     def _recover_truncated(self, tmp_path, data, cut):
@@ -386,14 +433,14 @@ class TestCrashPointMatrix:
         wal_path, states = self._run_workload(str(tmp_path / "full"))
         with open(wal_path, "rb") as handle:
             data = handle.read()
-        ends = self._record_ends(data)
-        commit_ends = [end for end, kind in ends if kind == KIND_COMMIT]
+        commit_ends = self._frame_ends(data)
         assert len(commit_ends) == len(states) - 1 == 4
+        assert commit_ends[-1] == len(data)  # nothing but the frames
 
         cuts = {0, len(data)}
-        for end, _kind in ends:
-            cuts.add(end)            # clean record boundary
-            cuts.add(end - 1)        # torn tail inside this record
+        for end in [16] + commit_ends:
+            cuts.add(end)            # clean frame boundary
+            cuts.add(end - 1)        # torn tail inside this frame
             cuts.add(min(end + 3, len(data)))  # torn length prefix
         for cut in sorted(cuts):
             committed = sum(1 for end in commit_ends if end <= cut)
@@ -402,16 +449,15 @@ class TestCrashPointMatrix:
             assert rows == states[committed], f"cut at byte {cut}"
 
     def test_truncation_inside_update_keeps_old_row(self, tmp_path):
-        """A cut between the DELETE(old) and COMMIT of the update
-        transaction must leave the pre-update row intact."""
+        """A cut inside the update transaction's frame, between its
+        DELETE(old) and INSERT(new) ops, must leave the pre-update row
+        intact."""
         wal_path, states = self._run_workload(str(tmp_path / "full"))
         with open(wal_path, "rb") as handle:
             data = handle.read()
-        ends = self._record_ends(data)
-        commit_ends = [end for end, kind in ends if kind == KIND_COMMIT]
-        # records of txn 3 sit between the 2nd and 3rd COMMIT: cut right
-        # before its COMMIT record ends
-        cut = commit_ends[2] - 1
+        commit_ends = self._frame_ends(data)
+        # txn 3's frame is the third: cut in the middle of its ops
+        cut = (commit_ends[1] + commit_ends[2]) // 2
         _replayed, rows = self._recover_truncated(tmp_path, data, cut)
         assert rows == states[2]
         assert (1, "D", "T/a", None) not in rows  # the update must not apply
@@ -429,11 +475,11 @@ class TestLiveReadThenAppend:
         db.create_table(schema())
         db.insert("prov", (1, "I", "T/a", None))
         first = list(db._wal.scan(mode="tolerant"))
-        assert len(first) == 3  # BEGIN, INSERT, COMMIT
+        assert len(first) == 1  # one frame per committed transaction
         # the append handle must still be alive and writable
         db.insert("prov", (2, "I", "T/b", None))
         second = list(db._wal.scan(mode="tolerant"))
-        assert [record.lsn for record in second] == [1, 2, 3, 4, 5, 6]
+        assert [frame.lsn for frame in second] == [1, 2]
         db.crash()
         fresh = Database("w", wal_dir=str(tmp_path))
         fresh.create_table(schema())
@@ -447,9 +493,9 @@ class TestLiveReadThenAppend:
 class TestCrashDuringConcurrency:
     """Crash points inside the MVCC commit protocol, with other
     transactions in flight.  MVCC transactions buffer their writes in
-    workspaces and only touch the WAL during commit replay, so recovery
+    workspaces and only stage WAL ops during commit replay, so recovery
     must restore exactly the committed-transaction prefix: the crashed
-    commit's partial records have no COMMIT and are dropped, and
+    commit never sealed its frame, so nothing of it reaches the log, and
     concurrent uncommitted transactions leave no trace at all."""
 
     def _setup(self, wal_dir):
@@ -505,7 +551,7 @@ class TestCrashDuringConcurrency:
         report, rows = self._recovered(wal_dir)
         assert rows == committed_rows  # txn 1 exactly; no partial victim
         assert report.txns_replayed == 1
-        assert report.txns_dropped == 1  # the victim's partial records
+        assert report.txns_dropped == 0  # the victim's frame was never sealed
         assert report.corruption is None
 
     def test_crash_before_any_apply_recovers_cleanly(self, tmp_path):
@@ -513,17 +559,16 @@ class TestCrashDuringConcurrency:
         report, rows = self._recovered(wal_dir)
         assert rows == committed_rows
         assert report.txns_replayed == 1
-        # only the victim's BEGIN made it to the log; still dropped whole
-        assert report.txns_dropped == 1
+        assert report.txns_dropped == 0  # nothing of the victim was staged
 
     def test_crash_after_apply_before_commit_record_drops_txn(self, tmp_path):
-        """Every op record of the victim is in the log, but its COMMIT is
-        not — durability is the COMMIT record, so recovery drops it."""
+        """Every op of the victim is staged, but its frame is not sealed
+        — durability is the sealed frame, so none of it is in the log."""
         committed_rows, wal_dir = self._crash_commit(tmp_path, "mvcc.commit.apply")
         report, rows = self._recovered(wal_dir)
         assert rows == committed_rows
         assert report.txns_replayed == 1
-        assert report.txns_dropped == 1
+        assert report.txns_dropped == 0
 
     def test_survivors_can_continue_after_failed_commit(self, tmp_path):
         """The crash aborts the victim, but in-process survivors (if the
