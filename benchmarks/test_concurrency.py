@@ -33,13 +33,14 @@ from pathlib import Path as FsPath
 import pytest
 
 from repro.storage import Database
-from repro.storage.server import AsyncServerClient, ServerClient, ThreadedServer
+from repro.storage.client import Client, SocketTransport
+from repro.storage.server import AsyncServerClient, ThreadedServer
 from repro.workloads.concurrent import (
     check_snapshot_isolation,
     curator_batches,
     kv_schema,
     prov_schema,
-    run_server_schedule,
+    run_schedule,
 )
 from repro.workloads.runner import generate_script
 
@@ -117,7 +118,7 @@ def _served_db() -> Database:
 def _serialized_reads(server: ThreadedServer, count: int) -> float:
     """One blocking connection, one get per message, back to back — the
     paper's serialized curator paying every round trip in full."""
-    with ServerClient(server.host, server.port) as client:
+    with Client(SocketTransport(server.host, server.port)) as client:
         start = time.perf_counter()
         for i in range(count):
             client.get("kv", [i % N_KEYS])
@@ -306,10 +307,11 @@ class TestConcurrentCorrectness:
             db.insert("kv", (k, v))
         with ThreadedServer(db) as server:
             clients = {
-                c: ServerClient(server.host, server.port) for c in ("a", "b", "c")
+                c: Client(SocketTransport(server.host, server.port))
+                for c in ("a", "b", "c")
             }
             try:
-                history = run_server_schedule(self.SCHEDULE, clients, initial)
+                history = run_schedule(self.SCHEDULE, clients, initial)
             finally:
                 for client in clients.values():
                     client.close()

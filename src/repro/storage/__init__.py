@@ -11,9 +11,10 @@ kernel module imports it: :mod:`~repro.storage.query` (``Query`` and
 ``QueryEngine``: planning, EXPLAIN and predicate DML
 over a ``Database``), :mod:`~repro.storage.expr`,
 :mod:`~repro.storage.plan`, :mod:`~repro.storage.sql`,
-:mod:`~repro.storage.mvcc`, :mod:`~repro.storage.server` and
-:mod:`~repro.storage.client` (``StoreClient``, which the tests use to pin
-the cost model's round-trip and failure charges).
+:mod:`~repro.storage.mvcc`, :mod:`~repro.storage.server` (the batched
+wire protocol over MVCC sessions) and :mod:`~repro.storage.client`
+(``Client``, the one client of that server, in process or over a
+socket, which charges the cost model's round trips and failures).
 """
 
 from .db import Database
@@ -25,6 +26,7 @@ from .errors import (
     SQLError,
     StorageError,
     TransactionError,
+    ProtocolError,
     TransientNetworkError,
     UnknownColumnError,
     UnknownTableError,
@@ -58,4 +60,5 @@ __all__ = [
     "WALError",
     "WALCorruptionError",
     "TransientNetworkError",
+    "ProtocolError",
 ]

@@ -1,95 +1,169 @@
-"""A client connection that models client/server round trips.
+"""The one client of the database server, over a pluggable transport.
 
 CPDB talked to MySQL over JDBC/TCP and to Timber over SOAP; the dominant
 per-operation cost in the paper's Figures 9, 10, and 12 is the *number of
 round trips*, which is why transactional provenance (which batches its
-writes at commit) is nearly free per operation.  :class:`StoreClient`
-wraps the embedded :class:`~repro.storage.db.Database` and charges one
-round trip (plus a per-row marshalling cost) on a shared virtual clock
-for every call — batched calls cost one round trip total, exactly the
-saving the paper observed.
+writes at commit) is nearly free per operation.  :class:`Client` sends
+the op-dict messages of :mod:`repro.storage.server` through a
+:class:`Transport` and charges one round trip (plus a per-row marshalling
+cost) on a shared virtual clock for every message, so a batched message
+costs one round trip total, exactly the saving the paper observed.
+:class:`LocalTransport` hands each message to an in-process server with
+no socket, encoded both ways as the wire encodes it, so an embedded
+session returns exactly what a :class:`SocketTransport` session does.
 
-Real JDBC/SOAP round trips also *fail*: requests and responses get lost,
-and the paper's per-operation economics silently assume they don't.  The
-client therefore models the failure side too:
+Real JDBC/SOAP round trips also *fail*, and the paper's per-operation
+economics silently assume they don't.  The client models that side too:
 
-* a :class:`Transport` seam carries every operation; the injectable
-  :class:`FlakyTransport` drops scheduled calls, distinguishing a lost
-  *request* (the server never executed it) from a lost *response* (the
-  server executed it but the client cannot know);
-* a :class:`RetryPolicy` retries lost round trips with exponential
+* :class:`FlakyTransport` wraps either transport and drops scheduled
+  round trips, distinguishing a lost *request* (the server never
+  executed it) from a lost *response* (the server executed it but the
+  client cannot know);
+* a :class:`RetryPolicy` re-sends lost messages with exponential
   backoff plus deterministic jitter — all waiting is charged to the
   shared virtual clock (``<category>.backoff``), never slept;
-* every mutating operation carries an *idempotency key*; the server
-  caches the result under the key, so a retry after a lost response
-  returns the cached result instead of double-applying the write —
-  exactly-once semantics on top of an at-least-once transport;
+* every message that may mutate carries an *idempotency key*, which the
+  server answers from its cached response on a retry — exactly-once
+  application on top of an at-least-once transport;
 * failed round trips cost
   :meth:`~repro.common.clock.CostModel.failed_round_trip_cost` (a full
   timeout on top of the wasted round trip) under
   ``<category>.<op>.failed``, and the ``retries`` /
   ``failed_round_trips`` counters sit next to ``round_trips`` so
   experiments can report failure amplification directly.
-
-The wrapper also counts round trips per category so experiments can
-report them independently of the cost model.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import socket
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..common.clock import CostModel, VirtualClock
-from .db import Database
 from .errors import TransientNetworkError
-from .expr import Expr
-from .query import Query, QueryEngine
-from .sql import execute_sql
+from .server import (
+    HEADER_SIZE,
+    DatabaseServer,
+    ServerError,
+    Session,
+    encode_body,
+    encode_frame,
+    frame_length,
+    response_results,
+    result_values,
+)
 
-__all__ = ["StoreClient", "Transport", "FlakyTransport", "RetryPolicy"]
+__all__ = [
+    "Client",
+    "Transport",
+    "LocalTransport",
+    "SocketTransport",
+    "FlakyTransport",
+    "RetryPolicy",
+]
+
+#: operations that change nothing server-side: their messages carry no
+#: idempotency key, and a retry simply runs them again
+_READS = frozenset({"ping", "get", "scan", "stats", "mvcc_counters"})
 
 
 class Transport:
-    """The wire between client and server.  The default one is perfect:
-    it just executes the operation.  Subclasses inject imperfection."""
+    """The wire between client and server: one request message out, one
+    response message back."""
 
-    def call(self, op: str, execute: Callable[[], Any]) -> Any:
-        return execute()
+    def round_trip(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        pass
+
+
+class LocalTransport(Transport):
+    """An in-process session on ``server``, which need not be started.
+
+    Each message goes to :meth:`DatabaseServer.handle` in the caller's
+    thread, so do not share a server that a
+    :class:`~repro.storage.server.ThreadedServer` is serving."""
+
+    def __init__(self, server: DatabaseServer) -> None:
+        self.server = server
+        self._session = Session()
+
+    def round_trip(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        request = json.loads(encode_body(message))
+        return json.loads(encode_body(self.server.handle(self._session, request)))
+
+    def close(self) -> None:
+        self.server.end_session(self._session)
+
+
+class SocketTransport(Transport):
+    """A blocking connection to a live server."""
+
+    def __init__(self, host: str, port: int, *, timeout: float = 30.0) -> None:
+        self._sock = socket.create_connection((host, port), timeout=timeout)
+
+    def round_trip(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        self._sock.sendall(encode_frame(message))
+        length = frame_length(self._recv_exactly(HEADER_SIZE))
+        return json.loads(self._recv_exactly(length))
+
+    def _recv_exactly(self, count: int) -> bytes:
+        chunks = []
+        remaining = count
+        while remaining:
+            chunk = self._sock.recv(remaining)
+            if not chunk:
+                raise ServerError("connection closed mid-frame")
+            chunks.append(chunk)
+            remaining -= len(chunk)
+        return b"".join(chunks)
+
+    def close(self) -> None:
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover - defensive
+            pass
 
 
 class FlakyTransport(Transport):
-    """A transport that loses scheduled round trips.
+    """A transport that loses scheduled round trips of ``inner``.
 
     ``failures`` maps a 1-based call number to the phase that fails:
-    ``"request"`` raises *before* executing (the server never saw it),
-    ``"response"`` executes and then raises (the server applied it, the
-    client cannot know).  Each scheduled failure fires once; unscheduled
-    calls pass through.  ``calls`` counts every attempt, so tests can
-    assert how many round trips an operation really took.
+    ``"request"`` raises *before* sending (the server never saw it),
+    ``"response"`` completes the round trip and then raises (the server
+    applied it, the client cannot know).  Each scheduled failure fires
+    once; unscheduled calls pass through.  ``calls`` counts every
+    attempt, so tests can assert how many round trips an operation
+    really took.
     """
 
-    def __init__(self, failures: Optional[Dict[int, str]] = None) -> None:
+    def __init__(self, inner: Transport, failures: Optional[Dict[int, str]] = None) -> None:
+        self.inner = inner
         self.failures = dict(failures or {})
         for call, phase in self.failures.items():
             if phase not in ("request", "response"):
                 raise ValueError(f"unknown failure phase {phase!r} for call {call}")
         self.calls = 0
 
-    def call(self, op: str, execute: Callable[[], Any]) -> Any:
+    def round_trip(self, message: Dict[str, Any]) -> Dict[str, Any]:
         self.calls += 1
         phase = self.failures.pop(self.calls, None)
         if phase == "request":
             raise TransientNetworkError(
-                f"request lost on call {self.calls} ({op})", phase="request"
+                f"request lost on call {self.calls}", phase="request"
             )
-        result = execute()
+        response = self.inner.round_trip(message)
         if phase == "response":
             raise TransientNetworkError(
-                f"response lost on call {self.calls} ({op})", phase="response"
+                f"response lost on call {self.calls}", phase="response"
             )
-        return result
+        return response
+
+    def close(self) -> None:
+        self.inner.close()
 
 
 @dataclass(frozen=True)
@@ -113,95 +187,99 @@ class RetryPolicy:
         return base + jitter
 
 
-class StoreClient:
-    """Round-trip-accounted access to a :class:`Database`.
+def _request_rows(op: Dict[str, Any]) -> int:
+    """Rows a request carries: what a failed round trip still marshalled."""
+    kind = op.get("op")
+    if kind == "insert":
+        return 1
+    if kind == "insert_many":
+        return len(op["rows"])
+    return 0
+
+
+def _rows(op: Dict[str, Any], result: Dict[str, Any]) -> int:
+    """Rows a successful operation wrote or returned: for DML, the rows
+    it affected."""
+    if not result["ok"]:
+        return 0
+    kind, value = op.get("op"), result["value"]
+    if kind == "sql":
+        is_dml = op["text"].lstrip()[:6].upper() in ("INSERT", "UPDATE", "DELETE")
+        return value[0]["affected"] if is_dml else len(value)
+    if kind == "get":
+        return int(value is not None)
+    if kind == "scan":
+        return len(value)
+    return _request_rows(op)
+
+
+class Client:
+    """Round-trip-accounted access to a :class:`DatabaseServer`.
 
     ``category`` tags every charge so the harness can attribute time to
     e.g. ``prov`` (provenance store) vs ``source`` (source database).
-    ``transport`` and ``retry_policy`` select the failure model; the
-    defaults (perfect transport, 4 attempts) charge exactly what the
-    pre-retry client did when nothing fails.  ``retry_seed`` makes the
-    backoff jitter reproducible.
+    ``retry_policy`` bounds retries of lost round trips; the backoff
+    jitter is seeded, so charges are reproducible.  Every message counts
+    in ``round_trips``, once per attempt.
     """
 
     def __init__(
         self,
-        db: Database,
+        transport: Transport,
+        *,
         clock: Optional[VirtualClock] = None,
         cost_model: Optional[CostModel] = None,
         category: str = "store",
-        *,
-        transport: Optional[Transport] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_seed: int = 0,
     ) -> None:
-        self.db = db
-        #: server-side planning, SQL and predicate DML over ``db``
-        self.engine = QueryEngine(db)
+        self.transport = transport
         self.clock = clock if clock is not None else VirtualClock()
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.category = category
-        self.transport = transport if transport is not None else Transport()
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.round_trips = 0
         self.retries = 0
         self.failed_round_trips = 0
-        self._rng = random.Random(retry_seed)
-        #: the server's idempotency table: key -> applied result.  Lives
-        #: with the client object here because the embedded Database *is*
-        #: the server; the lookup happens inside the transport call,
-        #: i.e. server-side of the (simulated) wire.
-        self._applied: Dict[str, Any] = {}
-        self._op_seq = 0
+        self._rng = random.Random(0)
+        self._next_id = 0
+
+    def close(self) -> None:
+        self.transport.close()
+
+    def __enter__(self) -> "Client":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
-    def _charge(self, operation: str, rows: int) -> None:
-        """Charge one *successful* round trip to the virtual clock."""
-        self.clock.charge(
-            f"{self.category}.{operation}", self.cost_model.statement_write_cost(rows)
-        )
+    def request(self, ops: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Send one message; returns the raw per-op results.
 
-    def _next_key(self, op: str) -> str:
-        self._op_seq += 1
-        return f"{self.category}:{op}:{self._op_seq}"
-
-    def _apply_once(self, key: str, execute: Callable[[], Any]) -> Any:
-        if key in self._applied:
-            return self._applied[key]
-        result = execute()
-        self._applied[key] = result
-        return result
-
-    def _call(
-        self,
-        op: str,
-        execute: Callable[[], Any],
-        *,
-        request_rows: int = 0,
-        key: Optional[str] = None,
-    ) -> Any:
-        """One logical operation = one or more transport round trips.
-
-        Counts every attempt in ``round_trips``; charges failed attempts
-        at the timeout-amplified rate and backoff waits to
-        ``<category>.backoff``; re-raises once the policy is exhausted.
-        ``key`` routes the execution through the server's idempotency
-        table so at-least-once delivery stays exactly-once application.
+        A lost round trip is charged at the timeout-amplified rate plus
+        a backoff wait, and the same message is sent again until the
+        policy is exhausted.  The successful round trip is charged once,
+        for the rows its operations moved.
         """
-        if key is not None:
-            run = lambda: self._apply_once(key, execute)  # noqa: E731
-        else:
-            run = execute
+        ops = list(ops)
+        self._next_id += 1
+        message: Dict[str, Any] = {"id": self._next_id, "ops": ops}
+        kinds = [op.get("op") for op in ops]
+        if not _READS.issuperset(kinds):
+            message["key"] = self._next_id
+        op_name = kinds[0] if len(kinds) == 1 else "batch"
+        name = f"{self.category}.{op_name}"
         attempt = 1
         while True:
             self.round_trips += 1
             try:
-                return self.transport.call(op, run)
+                response = self.transport.round_trip(message)
+                break
             except TransientNetworkError:
                 self.failed_round_trips += 1
                 self.clock.charge(
-                    f"{self.category}.{op}.failed",
-                    self.cost_model.failed_round_trip_cost(request_rows),
+                    f"{name}.failed",
+                    self.cost_model.failed_round_trip_cost(sum(map(_request_rows, ops))),
                 )
                 if attempt >= self.retry_policy.max_attempts:
                     raise
@@ -211,81 +289,46 @@ class StoreClient:
                     self.retry_policy.backoff_ms(attempt, self._rng),
                 )
                 attempt += 1
-
-    # ------------------------------------------------------------------
-    # One (successful) round trip each
-    # ------------------------------------------------------------------
-    def insert(self, table: str, row: "Sequence[Any] | Dict[str, Any]") -> int:
-        rowid = self._call(
-            "insert",
-            lambda: self.db.insert(table, row),
-            request_rows=1,
-            key=self._next_key("insert"),
+        results = response_results(response, self._next_id)
+        self.clock.charge(
+            name, self.cost_model.statement_write_cost(sum(map(_rows, ops, results)))
         )
-        self._charge("insert", 1)
-        return rowid
+        return results
 
-    def insert_many(
-        self, table: str, rows: Sequence["Sequence[Any] | Dict[str, Any]"]
-    ) -> List[int]:
+    def call(self, op: Dict[str, Any]) -> Any:
+        """One operation in its own message; raises typed errors."""
+        return result_values(self.request([op]))[0]
+
+    def batch(self, ops: Sequence[Dict[str, Any]]) -> List[Any]:
+        """Many operations in one message; raises on the first failure."""
+        return result_values(self.request(ops))
+
+    # convenience wrappers — each is exactly one message
+    def ping(self) -> None:
+        self.call({"op": "ping"})
+
+    def begin(self) -> Dict[str, Any]:
+        return self.call({"op": "begin"})
+
+    def commit(self) -> int:
+        return self.call({"op": "commit"})["ts"]
+
+    def rollback(self) -> None:
+        self.call({"op": "rollback"})
+
+    def get(self, table: str, key: Sequence[Any]) -> Optional[Dict[str, Any]]:
+        return self.call({"op": "get", "table": table, "key": list(key)})
+
+    def insert(self, table: str, row: Any) -> int:
+        return self.call({"op": "insert", "table": table, "row": row})["rowid"]
+
+    def insert_many(self, table: str, rows: Sequence[Any]) -> List[int]:
         """Batch insert: one round trip for the whole batch."""
-        rowids = self._call(
-            "insert_many",
-            lambda: self.db.insert_many(table, rows),
-            request_rows=len(rows),
-            key=self._next_key("insert_many"),
-        )
-        self._charge("insert_many", len(rows))
-        return rowids
+        return self.call({"op": "insert_many", "table": table, "rows": rows})["rowids"]
 
-    def execute(self, query: Query) -> List[Dict[str, Any]]:
-        # reads are naturally idempotent: retried without a key
-        rows = self._call("select", lambda: self.engine.execute(query))
-        self._charge("select", len(rows))
-        return rows
+    def sql(self, text: str) -> List[Dict[str, Any]]:
+        return self.call({"op": "sql", "text": text})
 
-    def sql(self, statement: str) -> List[Dict[str, Any]]:
-        # the SQL subset includes mutations, so statements carry a key
-        rows = self._call(
-            "sql",
-            lambda: execute_sql(self.engine, statement),
-            key=self._next_key("sql"),
-        )
-        self._charge("sql", len(rows))
-        return rows
-
-    def delete_where(self, table: str, predicate: Optional[Expr] = None) -> int:
-        """One round trip; victims are enumerated server-side through
-        the planner's access paths (:meth:`QueryEngine.delete_where`), so
-        an indexable predicate no longer full-scans — the *charged*
-        round-trip cost is unchanged, only the wall-time side of the
-        charged-cost/wall-time split shrinks."""
-        affected = self._call(
-            "delete",
-            lambda: self.engine.delete_where(table, predicate),
-            key=self._next_key("delete"),
-        )
-        self._charge("delete", affected)
-        return affected
-
-    def update_where(
-        self, table: str, changes: Dict[str, Any], predicate: Optional[Expr] = None
-    ) -> int:
-        """One round trip; planner-routed victim enumeration, same as
-        :meth:`delete_where`."""
-        affected = self._call(
-            "update",
-            lambda: self.engine.update_where(table, changes, predicate),
-            key=self._next_key("update"),
-        )
-        self._charge("update", affected)
-        return affected
-
-    # ------------------------------------------------------------------
-    # Statistics (not charged: out-of-band instrumentation)
-    # ------------------------------------------------------------------
-    def row_count(self, table: str) -> int:
-        return self.db.table(table).row_count
-
-    def byte_size(self, table: str) -> int:
-        return self.db.table(table).byte_size
+    def stats(self) -> Dict[str, Any]:
+        """Per-table ``{"rows", "bytes"}`` figures (one round trip)."""
+        return self.call({"op": "stats"})

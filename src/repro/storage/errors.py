@@ -15,6 +15,7 @@ __all__ = [
     "WALError",
     "WALCorruptionError",
     "TransientNetworkError",
+    "ProtocolError",
 ]
 
 
@@ -124,3 +125,8 @@ class TransientNetworkError(StorageError):
     def __init__(self, message: str, *, phase: str = "request") -> None:
         self.phase = phase
         super().__init__(message)
+
+
+class ProtocolError(StorageError):
+    """A wire message that is not a well-formed request: the body is not
+    a JSON object, or its ``ops`` is not a list of operation objects."""

@@ -1,21 +1,21 @@
 """Asyncio front-end for the embedded database: batched wire protocol
 over snapshot-isolation MVCC sessions.
 
-The paper's cost model charges *round trips*, not rows —
-:class:`~repro.storage.client.StoreClient` simulates exactly that on a
-virtual clock.  This server makes the same economics hold on a real
-socket: **one message = one round trip**, and a message carries an
-arbitrary batch of operations, so a client that packs a whole
-transaction (or a whole batched probe) into one frame pays one
+The paper's cost model charges *round trips*, not rows.  This server is
+where a round trip happens: **one message = one round trip**, and a
+message carries an arbitrary batch of operations, so a client that packs
+a whole transaction (or a whole batched probe) into one frame pays one
 turnaround for it — the wire twin of the store's batched ``loc IN
-(...)`` probes.
+(...)`` probes.  :class:`~repro.storage.client.Client` is the one
+synchronous client: it reaches :meth:`DatabaseServer.handle` over a real
+socket or in process, and charges each message on the virtual clock.
 
 Framing is length-prefixed: a 4-byte big-endian byte count, then a
 UTF-8 JSON document.  Requests and responses pair by ``id``::
 
-    -> {"id": 7, "ops": [{"op": "begin"},
-                         {"op": "insert", "table": "prov", "row": [...]},
-                         {"op": "commit"}]}
+    -> {"id": 7, "key": 7, "ops": [{"op": "begin"},
+                                   {"op": "insert", "table": "prov", "row": [...]},
+                                   {"op": "commit"}]}
     <- {"id": 7, "results": [{"ok": true, "value": {"snapshot": 3, "txn": 9}},
                              {"ok": true, "value": {"rowid": 1}},
                              {"ok": true, "value": {"ts": 4}}]}
@@ -30,6 +30,15 @@ the batch still execute — batch framing is a transport optimization,
 not an atomicity boundary; atomicity comes from ``begin``/``commit``.
 A connection that drops with an open transaction is rolled back.
 
+A message that may change state carries an idempotency ``key``.  The
+session keeps the response to its last keyed message and answers a
+repeat of that key from it without executing anything, so a client that
+retries after a lost response gets the first result, not a second
+application.  One cached response per session is enough because a
+client has one message in flight.  A body that is not a JSON object
+with an ``ops`` list of objects is answered with a typed
+``{"error": "ProtocolError", ...}`` and the connection keeps serving.
+
 The server is single-threaded (one event loop): operations from
 concurrent connections interleave at message granularity, which is the
 cooperative model the MVCC layer is built for.  Concurrency wins come
@@ -42,7 +51,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import socket
 import struct
 import threading
 from typing import Any, Dict, List, Optional, Sequence
@@ -55,13 +63,15 @@ from .sql import execute_sql
 
 __all__ = [
     "DatabaseServer",
+    "Session",
     "ThreadedServer",
-    "ServerClient",
     "AsyncServerClient",
     "ServerError",
 ]
 
 _HEADER = struct.Struct(">I")
+#: bytes in a frame's length prefix
+HEADER_SIZE = _HEADER.size
 #: refuse frames above this size — a corrupt length prefix must not
 #: allocate gigabytes
 MAX_FRAME = 64 * 1024 * 1024
@@ -69,12 +79,51 @@ MAX_FRAME = 64 * 1024 * 1024
 
 class ServerError(StorageError):
     """An operation failed server-side with an exception class the
-    client does not recognize (unknown classes degrade to this)."""
+    client does not recognize (unknown classes degrade to this), or a
+    response broke the framing or the request/response pairing."""
 
 
-def _encode_frame(payload: Dict[str, Any]) -> bytes:
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+# ----------------------------------------------------------------------
+# The codec both ends share
+# ----------------------------------------------------------------------
+def encode_body(payload: Any) -> bytes:
+    """A message as the wire carries it, without its length prefix."""
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+def encode_frame(payload: Any) -> bytes:
+    body = encode_body(payload)
     return _HEADER.pack(len(body)) + body
+
+
+def frame_length(header: bytes) -> int:
+    """The body length a response's prefix announces."""
+    (length,) = _HEADER.unpack(header)
+    if length > MAX_FRAME:
+        raise ServerError("oversized response frame")
+    return length
+
+
+def response_results(response: Dict[str, Any], request_id: int) -> List[Dict[str, Any]]:
+    """The per-op results of a response, after checking it answers
+    ``request_id``; a message-level error is raised as its type."""
+    if "error" in response:
+        _raise_remote(response)
+    if response.get("id") != request_id:
+        raise ServerError(
+            f"response id {response.get('id')!r} != request id {request_id}"
+        )
+    return response["results"]
+
+
+def result_values(results: List[Dict[str, Any]]) -> List[Any]:
+    """The values of per-op results; raises the first failure typed."""
+    values = []
+    for result in results:
+        if not result["ok"]:
+            _raise_remote(result)
+        values.append(result["value"])
+    return values
 
 
 def _raise_remote(result: Dict[str, Any]) -> None:
@@ -87,13 +136,16 @@ def _raise_remote(result: Dict[str, Any]) -> None:
     raise cls(message)
 
 
-class _Session:
-    """Per-connection state: the open MVCC transaction, if any."""
+class Session:
+    """One client's state on the server: its open MVCC transaction, if
+    any, and the response to its last keyed message."""
 
-    __slots__ = ("txn",)
+    __slots__ = ("txn", "key", "response")
 
     def __init__(self) -> None:
         self.txn: Optional[MVCCTransaction] = None
+        self.key: Any = None
+        self.response: Optional[Dict[str, Any]] = None
 
 
 class DatabaseServer:
@@ -102,7 +154,8 @@ class DatabaseServer:
     ``port=0`` (the default) binds an ephemeral port; read it back from
     :attr:`port` after :meth:`start`.  A shared :class:`MVCCManager` may
     be injected so embedded callers and remote sessions coordinate
-    through the same commit log.
+    through the same commit log.  A server that is never started still
+    serves in-process sessions through :meth:`handle`.
     """
 
     def __init__(
@@ -118,6 +171,8 @@ class DatabaseServer:
         self.host = host
         self._requested_port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: live connections: handler task -> its writer
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         #: served-message counter — each increment is one client round trip
         self.messages = 0
         self.operations = 0
@@ -134,8 +189,14 @@ class DatabaseServer:
         )
 
     async def stop(self) -> None:
+        """Stop accepting, close every live connection, and wait until
+        each handler has ended on its own (rolling back its open
+        transaction)."""
         if self._server is not None:
             self._server.close()
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -145,34 +206,29 @@ class DatabaseServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        session = _Session()
+        session = Session()
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
-                    header = await reader.readexactly(_HEADER.size)
-                except (asyncio.IncompleteReadError, ConnectionResetError):
-                    break
-                (length,) = _HEADER.unpack(header)
-                if length > MAX_FRAME:
-                    break  # corrupt framing: drop the connection
-                try:
+                    (length,) = _HEADER.unpack(await reader.readexactly(HEADER_SIZE))
+                    if length > MAX_FRAME:
+                        break  # corrupt framing: drop the connection
                     body = await reader.readexactly(length)
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     break
                 try:
-                    request = json.loads(body.decode("utf-8"))
-                except ValueError:
-                    break
-                response = self._serve_message(session, request)
-                writer.write(_encode_frame(response))
+                    request = json.loads(body)
+                except (ValueError, RecursionError):  # not JSON, or nested too deep
+                    request = None  # answered as a ProtocolError
+                writer.write(encode_frame(self.handle(session, request)))
                 try:
                     await writer.drain()
                 except ConnectionResetError:
                     break
         finally:
-            if session.txn is not None and session.txn.status == "active":
-                session.txn.rollback()
-                session.txn = None
+            self.end_session(session)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -182,20 +238,30 @@ class DatabaseServer:
                 asyncio.CancelledError,
             ):  # pragma: no cover - teardown races
                 pass
+            # last, so stop() waits for a handler that is still closing
+            del self._connections[task]
 
-    def _serve_message(
-        self, session: _Session, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    def handle(self, session: Session, request: Any) -> Dict[str, Any]:
+        """Serve one message for ``session``: the handler the socket and
+        the in-process transport share."""
         self.messages += 1
+        if not isinstance(request, dict):
+            request = {}
+        ops = request.get("ops")
+        if not isinstance(ops, list) or not all(isinstance(op, dict) for op in ops):
+            return {
+                "id": request.get("id"),
+                "error": "ProtocolError",
+                "message": "a request is a JSON object whose 'ops' is a list of objects",
+            }
+        key = request.get("key")
+        if key is not None and key == session.key:
+            return session.response  # a retry: answered, not re-applied
         results: List[Dict[str, Any]] = []
-        ops = request.get("ops", [])
-        if not isinstance(ops, list):
-            ops = []
         for op in ops:
             self.operations += 1
             try:
-                value = self._apply(session, op)
-                results.append({"ok": True, "value": value})
+                results.append({"ok": True, "value": self._apply(session, op)})
             except Exception as exc:
                 results.append(
                     {
@@ -204,7 +270,17 @@ class DatabaseServer:
                         "message": str(exc),
                     }
                 )
-        return {"id": request.get("id"), "results": results}
+        response = {"id": request.get("id"), "results": results}
+        if key is not None:
+            session.key, session.response = key, response
+        return response
+
+    @staticmethod
+    def end_session(session: Session) -> None:
+        """A client went away: roll back its open transaction."""
+        if session.txn is not None and session.txn.status == "active":
+            session.txn.rollback()
+        session.txn = None
 
     # ------------------------------------------------------------------
     # Operations
@@ -255,8 +331,7 @@ class DatabaseServer:
         if kind == "insert":
             return {"rowid": txn.insert(op["table"], op["row"])}
         if kind == "insert_many":
-            rowids = txn.insert_many(op["table"], op["rows"])
-            return {"count": len(rowids)}
+            return {"rowids": txn.insert_many(op["table"], op["rows"])}
         if kind == "sql":
             text = op["text"]
             if _is_ddl(text):
@@ -285,7 +360,7 @@ class ThreadedServer:
     harness)::
 
         with ThreadedServer(db) as server:
-            client = ServerClient(server.host, server.port)
+            client = Client(SocketTransport(server.host, server.port))
             ...
 
     All database work still happens on the one server thread; client
@@ -323,14 +398,8 @@ class ThreadedServer:
         try:
             loop.run_forever()
         finally:
+            # closes live connections, so no handler is left to cancel
             loop.run_until_complete(self.server.stop())
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
             loop.close()
 
     def __exit__(self, *exc_info) -> None:
@@ -340,107 +409,15 @@ class ThreadedServer:
             self._thread.join(timeout=10)
 
 
-class ServerClient:
-    """Blocking socket client; every :meth:`request` is one round trip."""
-
-    def __init__(self, host: str, port: int, *, timeout: float = 30.0) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._next_id = 1
-        #: messages sent — the client-side round-trip odometer, matching
-        #: ``StoreClient``'s charging model
-        self.round_trips = 0
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-
-    def __enter__(self) -> "ServerClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def request(self, ops: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Send one batched message; returns the raw per-op results."""
-        request_id = self._next_id
-        self._next_id += 1
-        self._sock.sendall(_encode_frame({"id": request_id, "ops": list(ops)}))
-        header = self._recv_exactly(_HEADER.size)
-        (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME:
-            raise ServerError("oversized response frame")
-        body = self._recv_exactly(length)
-        self.round_trips += 1
-        response = json.loads(body.decode("utf-8"))
-        if response.get("id") != request_id:
-            raise ServerError(
-                f"response id {response.get('id')!r} != request id {request_id}"
-            )
-        return response["results"]
-
-    def _recv_exactly(self, count: int) -> bytes:
-        chunks = []
-        remaining = count
-        while remaining:
-            chunk = self._sock.recv(remaining)
-            if not chunk:
-                raise ServerError("connection closed mid-frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def call(self, op: Dict[str, Any]) -> Any:
-        """One operation in its own message; raises typed errors."""
-        result = self.request([op])[0]
-        if not result["ok"]:
-            _raise_remote(result)
-        return result["value"]
-
-    def batch(self, ops: Sequence[Dict[str, Any]]) -> List[Any]:
-        """Many operations in one message; raises on the first failure."""
-        values = []
-        for result in self.request(ops):
-            if not result["ok"]:
-                _raise_remote(result)
-            values.append(result["value"])
-        return values
-
-    # convenience wrappers — each is exactly one round trip
-    def ping(self) -> None:
-        self.call({"op": "ping"})
-
-    def begin(self) -> Dict[str, Any]:
-        return self.call({"op": "begin"})
-
-    def commit(self) -> int:
-        return self.call({"op": "commit"})["ts"]
-
-    def rollback(self) -> None:
-        self.call({"op": "rollback"})
-
-    def get(self, table: str, key: Sequence[Any]) -> Optional[Dict[str, Any]]:
-        return self.call({"op": "get", "table": table, "key": list(key)})
-
-    def insert(self, table: str, row: Any) -> int:
-        return self.call({"op": "insert", "table": table, "row": row})["rowid"]
-
-    def sql(self, text: str) -> List[Dict[str, Any]]:
-        return self.call({"op": "sql", "text": text})
-
-    def stats(self) -> Dict[str, Any]:
-        return self.call({"op": "stats"})
-
-
 class AsyncServerClient:
-    """Asyncio client; the await twin of :class:`ServerClient`."""
+    """Asyncio client over the same frames as
+    :class:`~repro.storage.client.SocketTransport`; the concurrency
+    benchmark's readers and writer use it."""
 
     def __init__(self) -> None:
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._next_id = 1
-        self.round_trips = 0
 
     async def connect(self, host: str, port: int) -> "AsyncServerClient":
         self._reader, self._writer = await asyncio.open_connection(host, port)
@@ -457,31 +434,14 @@ class AsyncServerClient:
     async def request(self, ops: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         request_id = self._next_id
         self._next_id += 1
-        self._writer.write(_encode_frame({"id": request_id, "ops": list(ops)}))
+        self._writer.write(encode_frame({"id": request_id, "ops": list(ops)}))
         await self._writer.drain()
-        header = await self._reader.readexactly(_HEADER.size)
-        (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME:
-            raise ServerError("oversized response frame")
+        length = frame_length(await self._reader.readexactly(HEADER_SIZE))
         body = await self._reader.readexactly(length)
-        self.round_trips += 1
-        response = json.loads(body.decode("utf-8"))
-        if response.get("id") != request_id:
-            raise ServerError(
-                f"response id {response.get('id')!r} != request id {request_id}"
-            )
-        return response["results"]
+        return response_results(json.loads(body), request_id)
 
     async def call(self, op: Dict[str, Any]) -> Any:
-        result = (await self.request([op]))[0]
-        if not result["ok"]:
-            _raise_remote(result)
-        return result["value"]
+        return result_values(await self.request([op]))[0]
 
     async def batch(self, ops: Sequence[Dict[str, Any]]) -> List[Any]:
-        values = []
-        for result in await self.request(ops):
-            if not result["ok"]:
-                _raise_remote(result)
-            values.append(result["value"])
-        return values
+        return result_values(await self.request(ops))

@@ -25,11 +25,16 @@ Write skew — overlapping *read* sets, disjoint write sets — is
 deliberately NOT flagged: snapshot isolation permits it, and the
 anomaly regression suite pins that down as documented behavior.
 
+One interpreter, :func:`run_schedule`, drives a schedule through
+:class:`~repro.storage.client.Client` sessions, so the checker
+certifies embedded histories (an in-process transport) and remote ones
+(a live socket) from the same driver.
+
 The module also maps :mod:`repro.workloads.patterns` update scripts onto
 the wire protocol of :mod:`repro.storage.server` (``curator_batches``),
 so N simulated curators can drive a real server concurrently — each
-transaction packed into ONE length-prefixed message, matching
-``StoreClient``'s one-message-one-round-trip charging model.
+transaction packed into ONE length-prefixed message, which the client
+charges as one round trip.
 """
 
 from __future__ import annotations
@@ -39,10 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.updates import Copy, Delete, Insert
-from ..storage.db import Database
 from ..storage.errors import WriteConflictError
-from ..storage.expr import Cmp, Col, Const
-from ..storage.mvcc import MVCCManager
 from ..storage.schema import Column, TableSchema
 from ..storage.types import ColumnType
 
@@ -51,8 +53,7 @@ __all__ = [
     "History",
     "check_snapshot_isolation",
     "kv_schema",
-    "run_kv_schedule",
-    "run_server_schedule",
+    "run_schedule",
     "prov_schema",
     "curator_batches",
 ]
@@ -220,18 +221,19 @@ def kv_schema() -> TableSchema:
     )
 
 
-def _eq(column: str, value: Any) -> Cmp:
-    return Cmp("=", Col(column), Const(value))
-
-
-def run_kv_schedule(
+def run_schedule(
     steps: Sequence[Tuple[Any, ...]],
+    clients: Dict[Any, Any],
     initial: Optional[Dict[int, int]] = None,
-    *,
-    db: Optional[Database] = None,
-) -> Tuple[History, MVCCManager]:
-    """Interpret an interleaved schedule against an embedded MVCC engine,
-    recording the history the clients observed.
+) -> History:
+    """Interpret an interleaved schedule over client sessions, recording
+    the history the clients observed.
+
+    ``clients`` maps each client id to a
+    :class:`~repro.storage.client.Client`: over a ``LocalTransport`` for
+    an embedded engine, or over a ``SocketTransport`` for a live server.
+    All must reach the same server, whose ``kv`` table already holds
+    exactly ``initial``.
 
     Steps (``c`` is any hashable client id)::
 
@@ -243,82 +245,8 @@ def run_kv_schedule(
                               records an abort, not a failure
         ("rollback", c)       roll back
 
-    Any transaction still open at the end is committed.  Returns the
-    recorded :class:`History` and the manager (for counter assertions).
+    Any transaction still open at the end is committed.
     """
-    if db is None:
-        db = Database("mvcc_schedule")
-        db.create_table(kv_schema())
-    seed = dict(initial or {})
-    for k, v in sorted(seed.items()):
-        db.insert("kv", (k, v))
-    manager = MVCCManager(db)
-    history = History({("kv", (k,)): v for k, v in seed.items()})
-    open_txns: Dict[Any, Any] = {}
-    records: Dict[Any, TxnRecord] = {}
-
-    def ensure(client: Any):
-        txn = open_txns.get(client)
-        if txn is None:
-            txn = manager.begin()
-            open_txns[client] = txn
-            records[client] = history.begin(client, txn.snapshot_ts)
-        return txn, records[client]
-
-    def finish(client: Any, commit: bool) -> None:
-        txn = open_txns.pop(client, None)
-        if txn is None:
-            return
-        record = records.pop(client)
-        if not commit:
-            txn.rollback()
-            record.aborted()
-            return
-        try:
-            record.committed(txn.commit())
-        except WriteConflictError:
-            record.aborted()
-
-    for step in steps:
-        action, client = step[0], step[1]
-        if action == "begin":
-            ensure(client)
-        elif action == "read":
-            txn, record = ensure(client)
-            row = txn.get("kv", (step[2],))
-            record.read("kv", (step[2],), None if row is None else row["v"])
-        elif action == "write":
-            txn, record = ensure(client)
-            k, v = step[2], step[3]
-            if txn.get("kv", (k,)) is None:
-                txn.insert("kv", (k, v))
-            else:
-                txn.update_where("kv", {"v": v}, _eq("k", k))
-            record.write("kv", (k,), v)
-        elif action == "delete":
-            txn, record = ensure(client)
-            if txn.delete_where("kv", _eq("k", step[2])):
-                record.write("kv", (step[2],), None)
-        elif action == "commit":
-            finish(client, True)
-        elif action == "rollback":
-            finish(client, False)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown schedule action {action!r}")
-    for client in list(open_txns):
-        finish(client, True)
-    return history, manager
-
-
-def run_server_schedule(
-    steps: Sequence[Tuple[Any, ...]],
-    clients: Dict[Any, Any],
-    initial: Optional[Dict[int, int]] = None,
-) -> History:
-    """The same schedule language as :func:`run_kv_schedule`, driven over
-    live server connections (``clients`` maps client id ->
-    :class:`~repro.storage.server.ServerClient`).  The server's ``kv``
-    table must already hold exactly ``initial``."""
     history = History({("kv", (k,)): v for k, v in (initial or {}).items()})
     records: Dict[Any, TxnRecord] = {}
 
@@ -362,7 +290,7 @@ def run_server_schedule(
         elif action == "delete":
             record = ensure(client)
             affected = clients[client].sql(f"DELETE FROM kv WHERE k = {step[2]}")
-            if affected and affected[0].get("affected"):
+            if affected[0]["affected"]:
                 record.write("kv", (step[2],), None)
         elif action == "commit":
             finish(client, True)

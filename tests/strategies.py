@@ -114,7 +114,7 @@ def mvcc_schedules(
 ) -> Tuple[dict, List[tuple]]:
     """Draw ``(initial kv state, interleaved schedule)`` for the
     concurrent-history checker (see
-    :func:`repro.workloads.concurrent.run_kv_schedule` for the step
+    :func:`repro.workloads.concurrent.run_schedule` for the step
     language).
 
     Steps from different clients interleave freely; commits, rollbacks,

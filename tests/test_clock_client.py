@@ -1,12 +1,12 @@
 """Tests for the virtual clock, cost model, and round-trip-counting
-client."""
+client (over the in-process transport)."""
 
 import pytest
 
 from repro.common.clock import CostModel, VirtualClock
 from repro.storage import Column, ColumnType, Database, TableSchema
-from repro.storage.client import StoreClient
-from repro.storage.query import Query, TableRef
+from repro.storage.client import Client, LocalTransport
+from repro.storage.server import DatabaseServer
 
 
 class TestVirtualClock:
@@ -69,38 +69,70 @@ def make_db():
     return db
 
 
+def make_client(clock=None, category="store"):
+    return Client(LocalTransport(DatabaseServer(make_db())), clock=clock, category=category)
+
+
 class TestStoreClient:
+    """The client as a provenance store uses it: round trips and clock
+    charges, over the in-process transport."""
+
     def test_each_call_is_one_round_trip(self):
         clock = VirtualClock()
-        client = StoreClient(make_db(), clock=clock, category="src")
+        client = make_client(clock, category="src")
         client.insert("t", (1, "a"))
         client.insert_many("t", [(2, "b"), (3, "c")])
-        client.execute(Query(TableRef("t")))
+        client.sql("SELECT * FROM t")
         assert client.round_trips == 3
 
     def test_batching_is_cheaper_than_singles(self):
         clock_single = VirtualClock()
-        single = StoreClient(make_db(), clock=clock_single)
+        single = make_client(clock_single)
         for k in range(5):
             single.insert("t", (k, "x"))
 
         clock_batch = VirtualClock()
-        batch = StoreClient(make_db(), clock=clock_batch)
+        batch = make_client(clock_batch)
         batch.insert_many("t", [(k, "x") for k in range(5)])
 
         assert clock_batch.now_ms < clock_single.now_ms
 
     def test_sql_and_stats(self):
-        client = StoreClient(make_db())
+        client = make_client()
         client.sql("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
         rows = client.sql("SELECT * FROM t ORDER BY k")
         assert [row["k"] for row in rows] == [1, 2]
-        assert client.row_count("t") == 2
-        assert client.byte_size("t") > 0
-        assert client.delete_where("t") == 2
+        assert client.stats()["t"]["rows"] == 2
+        assert client.stats()["t"]["bytes"] > 0
+        assert client.sql("DELETE FROM t")[0]["affected"] == 2
 
     def test_update_where(self):
-        client = StoreClient(make_db())
+        client = make_client()
         client.insert("t", (1, "x"))
-        assert client.update_where("t", {"v": "z"}) == 1
+        assert client.sql("UPDATE t SET v = 'z'")[0]["affected"] == 1
         assert client.sql("SELECT v FROM t")[0]["v"] == "z"
+
+    def test_charges_the_rows_each_message_moved(self):
+        """One statement charge per message, for the rows it inserted,
+        returned or (for DML) affected."""
+        clock = VirtualClock()
+        client = make_client(clock, category="src")
+        client.batch([
+            {"op": "insert", "table": "t", "row": [1, "a"]},
+            {"op": "insert_many", "table": "t", "rows": [[2, "b"], [3, "c"]]},
+        ])
+        client.get("t", [1])
+        client.get("t", [9])
+        client.sql("SELECT * FROM t")
+        client.sql("UPDATE t SET v = 'z' WHERE k > 1")
+        model = client.cost_model
+        assert clock.total("src.batch") == model.statement_write_cost(3)
+        assert clock.total("src.get") == (
+            model.statement_write_cost(1) + model.statement_write_cost(0)
+        )
+        assert clock.total("src.sql") == (
+            model.statement_write_cost(3) + model.statement_write_cost(2)
+        )
+        assert clock.now_ms == sum(
+            model.statement_write_cost(rows) for rows in (3, 1, 0, 3, 2)
+        )

@@ -39,7 +39,8 @@ from repro.storage import (
     WALCorruptionError,
     WALError,
 )
-from repro.storage.client import FlakyTransport, RetryPolicy, StoreClient
+from repro.storage.client import Client, FlakyTransport, LocalTransport, RetryPolicy
+from repro.storage.server import DatabaseServer
 from repro.storage.snapshot import checkpoint, load_snapshot, save_snapshot
 from repro.storage.wal import KIND_INSERT, WriteAheadLog
 
@@ -570,24 +571,29 @@ class TestCheckpointCrashMatrix:
 # ----------------------------------------------------------------------
 
 
-def _client(tmp_path=None, transport=None, policy=None, clock=None):
+def _client(failures=None, policy=None, clock=None):
+    """A client of an in-process server, losing the scheduled round
+    trips; returns the client and the served database."""
     db = Database("c")
     db.create_table(schema())
-    return StoreClient(
-        db,
-        clock if clock is not None else VirtualClock(),
+    transport = LocalTransport(DatabaseServer(db))
+    if failures is not None:
+        transport = FlakyTransport(transport, failures)
+    client = Client(
+        transport,
+        clock=clock if clock is not None else VirtualClock(),
         category="prov",
-        transport=transport,
         retry_policy=policy,
     )
+    return client, db
 
 
 class TestClientRetry:
     def test_lost_request_retries_and_succeeds(self):
         clock = VirtualClock()
-        client = _client(transport=FlakyTransport({1: "request"}), clock=clock)
+        client, db = _client({1: "request"}, clock=clock)
         client.insert("t", (1, "a"))
-        assert client.db.table("t").row_count == 1
+        assert db.table("t").row_count == 1
         assert client.round_trips == 2
         assert client.retries == 1
         assert client.failed_round_trips == 1
@@ -597,39 +603,37 @@ class TestClientRetry:
         assert clock.count("prov.backoff") == 1
 
     def test_lost_response_does_not_double_apply(self):
-        client = _client(transport=FlakyTransport({1: "response"}))
+        client, db = _client({1: "response"})
         rowids = client.insert_many("t", [(1, "a"), (2, "b")])
         # the server applied the batch on the lost-response attempt; the
         # retry must return the cached result, not insert again
-        assert client.db.table("t").row_count == 2
+        assert db.table("t").row_count == 2
         assert len(rowids) == 2
         assert client.round_trips == 2
 
     def test_lost_response_delete_returns_first_count(self):
-        client = _client(transport=FlakyTransport({2: "response"}))
+        client, db = _client({2: "response"})
         client.insert_many("t", [(1, "a"), (2, "b")])
-        affected = client.delete_where("t")
+        affected = client.sql("DELETE FROM t")[0]["affected"]
         # without the idempotency key the retry would re-run the delete
         # against an already-empty table and report 0 rows
         assert affected == 2
-        assert client.db.table("t").row_count == 0
+        assert db.table("t").row_count == 0
 
     def test_exhausted_retries_raise(self):
         policy = RetryPolicy(max_attempts=3)
-        flaky = FlakyTransport({1: "request", 2: "request", 3: "request"})
-        client = _client(transport=flaky, policy=policy)
+        client, db = _client({1: "request", 2: "request", 3: "request"}, policy)
         with pytest.raises(TransientNetworkError):
             client.insert("t", (1, "a"))
         assert client.round_trips == 3
         assert client.failed_round_trips == 3
         assert client.retries == 2  # no backoff after the final failure
-        assert client.db.table("t").row_count == 0  # requests never landed
+        assert db.table("t").row_count == 0  # requests never landed
 
     def test_backoff_grows_and_is_deterministic(self):
         clock_a, clock_b = VirtualClock(), VirtualClock()
         for clock in (clock_a, clock_b):
-            flaky = FlakyTransport({1: "request", 2: "request"})
-            client = _client(transport=flaky, clock=clock)
+            client, _db = _client({1: "request", 2: "request"}, clock=clock)
             client.insert("t", (1, "a"))
         assert clock_a.total("prov.backoff") == clock_b.total("prov.backoff")
         policy = RetryPolicy()
@@ -639,10 +643,10 @@ class TestClientRetry:
 
     def test_perfect_transport_charges_exactly_as_before(self):
         clock = VirtualClock()
-        client = _client(clock=clock)
+        client, _db = _client(clock=clock)
         client.insert("t", (1, "a"))
         client.insert_many("t", [(2, "b"), (3, "c")])
-        client.delete_where("t")
+        client.sql("DELETE FROM t")
         assert client.round_trips == 3
         assert client.retries == 0 and client.failed_round_trips == 0
         model = client.cost_model
@@ -653,11 +657,9 @@ class TestClientRetry:
         )
 
     def test_reads_are_retried_without_keys(self):
-        from repro.storage.query import Query, TableRef
-
-        client = _client(transport=FlakyTransport({2: "request"}))
+        client, _db = _client({2: "request"})
         client.insert("t", (1, "a"))
-        rows = client.execute(Query(TableRef("t")))
+        rows = client.call({"op": "scan", "table": "t"})
         assert len(rows) == 1
         assert client.round_trips == 3  # 1 insert + failed read + retry
 

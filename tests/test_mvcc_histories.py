@@ -18,10 +18,14 @@ import os
 
 from hypothesis import given, settings
 
+from repro.storage import Database
+from repro.storage.client import Client, LocalTransport
+from repro.storage.server import DatabaseServer
 from repro.workloads.concurrent import (
     History,
     check_snapshot_isolation,
-    run_kv_schedule,
+    kv_schema,
+    run_schedule,
 )
 
 from .strategies import mvcc_schedules
@@ -34,6 +38,19 @@ _PROFILES = {
 _PROFILE = _PROFILES.get(
     os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"), _PROFILES["default"]
 )
+
+
+def _run_embedded(schedule, initial):
+    """Run ``schedule`` over in-process sessions of one server on a
+    ``kv`` table seeded with ``initial``; returns the history and the
+    server's MVCC manager (for counter assertions)."""
+    db = Database("mvcc_schedule")
+    db.create_table(kv_schema())
+    for k, v in sorted(initial.items()):
+        db.insert("kv", (k, v))
+    server = DatabaseServer(db)
+    clients = {step[1]: Client(LocalTransport(server)) for step in schedule}
+    return run_schedule(schedule, clients, initial), server.manager
 
 
 def _final_state(history: History) -> dict:
@@ -64,7 +81,7 @@ def _final_state(history: History) -> dict:
 @given(mvcc_schedules())
 def test_schedules_are_snapshot_isolated(drawn):
     initial, schedule = drawn
-    history, manager = run_kv_schedule(schedule, initial=initial)
+    history, manager = _run_embedded(schedule, initial)
     violations = check_snapshot_isolation(history)
     assert violations == [], "\n".join(violations)
     # every transaction reached a terminal state and history was pruned
@@ -78,7 +95,7 @@ def test_final_state_matches_committed_prefix(drawn):
     """The live table equals the committed write sets replayed in commit
     order — aborted transactions leave no trace."""
     initial, schedule = drawn
-    history, manager = run_kv_schedule(schedule, initial=initial)
+    history, manager = _run_embedded(schedule, initial)
     expected = _final_state(history)
     live = {
         ("kv", (row[0],)): row[1]

@@ -1,30 +1,38 @@
 """Wire-protocol and session semantics of the asyncio database server.
 
 Covers the transport contract (length-prefixed frames, request/response
-pairing, one message = one round trip), error marshalling back to typed
-exceptions, per-connection MVCC sessions (snapshot stability across
-connections, first-committer-wins over the wire, rollback on
-disconnect), DDL gating, and an end-to-end run of the concurrent-history
-checker against live server connections.
+pairing, one message = one round trip, typed replies to malformed
+requests), error marshalling back to typed exceptions, per-connection
+MVCC sessions (snapshot stability across connections, first-committer-
+wins over the wire, rollback on disconnect), exactly-once retries over
+a real socket, a clean shutdown with connections still open, DDL
+gating, and an end-to-end run of the concurrent-history checker against
+live server connections.
 """
 
 from __future__ import annotations
 
+import json
+import logging
+import socket
+import struct
 import time
 
 import pytest
 
 from repro.storage import Database, WriteConflictError
-from repro.storage.server import ServerClient, ThreadedServer
+from repro.storage.client import Client, FlakyTransport, SocketTransport
+from repro.storage.server import ThreadedServer, response_results
 from repro.storage.errors import (
     DuplicateKeyError,
+    ProtocolError,
     TransactionError,
     UnknownTableError,
 )
 from repro.workloads.concurrent import (
     check_snapshot_isolation,
     kv_schema,
-    run_server_schedule,
+    run_schedule,
 )
 
 
@@ -36,8 +44,8 @@ def kv_server():
         yield server
 
 
-def _client(server: ThreadedServer) -> ServerClient:
-    return ServerClient(server.host, server.port)
+def _client(server: ThreadedServer) -> Client:
+    return Client(SocketTransport(server.host, server.port))
 
 
 def _wait_until(predicate, timeout: float = 5.0) -> None:
@@ -61,7 +69,7 @@ class TestTransport:
 
     def test_batch_is_one_message_one_round_trip(self, kv_server):
         """A whole transaction packed into one frame costs exactly one
-        round trip — the economics StoreClient charges for."""
+        round trip — the economics the client charges for."""
         with _client(kv_server) as client:
             values = client.batch(
                 [
@@ -98,6 +106,107 @@ class TestTransport:
             assert results[0]["error"] == "UnknownTableError"
             assert results[1]["ok"] is True
             assert client.get("kv", [5]) == {"k": 5, "v": 50}
+
+
+# ----------------------------------------------------------------------
+# Malformed requests, shutdown with open connections, exactly-once
+# retries over the socket
+# ----------------------------------------------------------------------
+def _raw_round_trip(sock: socket.socket, body: bytes) -> dict:
+    """Send one frame with ``body`` on a raw socket; return the reply."""
+    sock.sendall(struct.pack(">I", len(body)) + body)
+
+    def recv_exactly(count: int) -> bytes:
+        data = b""
+        while len(data) < count:
+            chunk = sock.recv(count - len(data))
+            assert chunk, "the server dropped the connection without a reply"
+            data += chunk
+        return data
+
+    (length,) = struct.unpack(">I", recv_exactly(4))
+    return json.loads(recv_exactly(length))
+
+
+def _errors_logged(caplog) -> list:
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize(
+        "body",
+        [b"[]", b'{"id": 4, "ops": 3}', b'{"ops": [1]}', b"not json", b"[" * 100_000],
+        ids=["list", "ops-not-a-list", "op-not-an-object", "not-json", "nested-too-deep"],
+    )
+    def test_malformed_request_gets_a_typed_reply(self, kv_server, caplog, body):
+        """A body that is not a request object is answered with a
+        ProtocolError; nothing escapes the handler, and the connection
+        keeps serving."""
+        caplog.set_level(logging.ERROR)
+        address = (kv_server.host, kv_server.port)
+        with socket.create_connection(address, timeout=5) as sock:
+            reply = _raw_round_trip(sock, body)
+            assert reply["error"] == "ProtocolError"
+            with pytest.raises(ProtocolError):
+                response_results(reply, 4)
+            ping = _raw_round_trip(sock, b'{"id": 1, "ops": [{"op": "ping"}]}')
+            assert ping == {"id": 1, "results": [{"ok": True, "value": {}}]}
+        assert _errors_logged(caplog) == []
+
+
+class TestShutdown:
+    def test_exit_with_an_open_client_logs_no_error(self, caplog):
+        """Leaving the server with a live connection closes it; its
+        handler ends on its own and rolls back the open transaction."""
+        caplog.set_level(logging.ERROR)
+        db = Database("open_at_exit")
+        db.create_table(kv_schema())
+        with ThreadedServer(db) as server:
+            client = _client(server)
+            client.begin()
+            client.insert("kv", [1, 1])
+        client.close()
+        assert server.server.manager.active_count == 0
+        assert db.table("kv").row_count == 0
+        assert _errors_logged(caplog) == []
+
+
+class TestExactlyOnceOverSocket:
+    """The client's retries over a real socket: a lost response is
+    answered from the session's cached response, not applied twice."""
+
+    def _flaky_client(self, server: ThreadedServer, failures: dict) -> Client:
+        return Client(
+            FlakyTransport(SocketTransport(server.host, server.port), failures)
+        )
+
+    def test_lost_response_to_insert_many_lands_once(self, kv_server):
+        with self._flaky_client(kv_server, {1: "response"}) as client:
+            rowids = client.insert_many("kv", [[1, 10], [2, 20]])
+            assert len(rowids) == 2
+            assert client.round_trips == 2
+            assert client.retries == 1 and client.failed_round_trips == 1
+            # two messages, but the one op ran once: the retry got the
+            # first result back
+            assert kv_server.server.messages == 2
+            assert kv_server.server.operations == 1
+            assert client.stats()["kv"]["rows"] == 2
+
+    def test_lost_request_is_retried(self, kv_server):
+        with self._flaky_client(kv_server, {1: "request"}) as client:
+            client.insert("kv", [1, 10])
+            assert client.round_trips == 2 and client.failed_round_trips == 1
+            assert kv_server.server.messages == 1  # the lost one never arrived
+            assert client.get("kv", [1]) == {"k": 1, "v": 10}
+
+    def test_lost_commit_response_returns_the_commit_ts(self, kv_server):
+        with self._flaky_client(kv_server, {3: "response"}) as client:
+            client.begin()
+            client.insert("kv", [1, 10])
+            ts = client.commit()  # without the key: "no active transaction"
+            assert ts >= 1
+            assert client.round_trips == 4
+            assert client.get("kv", [1]) == {"k": 1, "v": 10}
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +354,7 @@ class TestServerHistories:
         with ThreadedServer(db) as server:
             clients = {c: _client(server) for c in ("a", "b", "c")}
             try:
-                history = run_server_schedule(self.SCHEDULE, clients, initial)
+                history = run_schedule(self.SCHEDULE, clients, initial)
             finally:
                 for client in clients.values():
                     client.close()
