@@ -17,14 +17,16 @@
         to a JSON tree with provenance tracking; print the final tree,
         the provenance table, and any requested queries.
 
-    python -m repro recover SNAPSHOT --wal-dir DIR [--name db] \
+    python -m repro recover --wal-dir DIR [--name db] \
            [--mode strict|tolerant] [--json]
-        Rebuild a database from a checksummed snapshot plus its WAL and
+        Rebuild a database from its WAL — the newest checkpoint image,
+        whose catalog creates the tables, and the frames after it — and
         print the recovery report (transactions replayed/dropped,
         torn-tail and quarantined bytes, corruption site if any) and
         the recovered per-table row counts.  ``--mode strict`` (the
-        default) fails on the first corrupt WAL frame; ``tolerant``
-        replays the longest clean committed prefix.
+        default) fails on the first corrupt frame or image;
+        ``tolerant`` replays the longest clean committed prefix.  A
+        failure exits with code 1 and a one-line typed message.
 
 Trees are JSON objects: nested objects are interior nodes, scalars are
 leaf values (exactly :meth:`repro.core.tree.Tree.from_dict`).
@@ -218,14 +220,14 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
+    from .storage.db import Database
     from .storage.errors import StorageError
-    from .storage.snapshot import load_snapshot
 
     try:
-        db = load_snapshot(args.snapshot, name=args.name, wal_dir=args.wal_dir)
+        db = Database(args.name, wal_dir=args.wal_dir)
         report = db.recover(mode=args.mode)
     except (StorageError, OSError) as exc:
-        print(f"recovery failed: {exc}", file=sys.stderr)
+        print(f"recovery failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     tables = {name: table.row_count for name, table in sorted(db.tables.items())}
     if args.json:
@@ -264,9 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="src|hist|mod=LOCATION")
 
     recover_cmd = sub.add_parser(
-        "recover", help="rebuild a database from snapshot + WAL and report"
+        "recover", help="rebuild a database from its WAL and report"
     )
-    recover_cmd.add_argument("snapshot", help="snapshot file to load")
     recover_cmd.add_argument("--wal-dir", required=True,
                              help="directory holding the database's WAL")
     recover_cmd.add_argument("--name", default="db",

@@ -6,8 +6,8 @@ actually happens.  This module makes faults *schedulable*: a
 :class:`FaultPlan` is configured with the exact faults to inject —
 which write to tear at which byte, which bit to flip, which syscall
 gets ``EIO``, which named point crashes — and is threaded through
-``WriteAheadLog``, ``save_snapshot``/``checkpoint``, and the client
-transport.  Tests then assert that every injected fault ends in either
+``WriteAheadLog`` (frames, checkpoints), the image writer behind
+``save_snapshot``, and the client transport.  Tests then assert that every injected fault ends in either
 full recovery of the committed prefix or a typed error naming the
 corruption site.
 
@@ -22,11 +22,17 @@ Design notes
 * All faults are one-shot and consumed in plan order; counters are
   plan-global, so one plan can coordinate faults across several files
   (e.g. "the 3rd write overall, which lands in the snapshot temp
-  file").  Write counters are 1-based.
+  file").  Write counters are 1-based; an image is two writes (header
+  and catalog, then its frame).
 * :meth:`FaultPlan.reached` is the crash-point hook: instrumented code
-  calls it at named points (``checkpoint.after_fsync``,
-  ``wal.truncate.mid``, ...) and the plan raises there if scheduled.
-  The full list of points lives in ``docs/ARCHITECTURE.md``.
+  calls it at named points and the plan raises there if scheduled.  The
+  checkpoint's points, in order: ``snapshot.before_temp_write``,
+  ``snapshot.mid_temp_write``, ``snapshot.after_fsync``,
+  ``snapshot.after_rename`` (the image writer's, shared with
+  ``save_snapshot``), ``checkpoint.before_truncate``,
+  ``wal.truncate.mid`` and ``wal.truncate.end``; the MVCC commit's are
+  ``mvcc.commit.begin``, ``.apply`` and ``.mid``.  ``docs/ARCHITECTURE.md``
+  lists what each leaves on disk.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ class FaultPlan:
                 .flip_bit(on_write=2, byte=4, bit=7)    # silent corruption
                 .short_write(on_write=1, drop_bytes=2)  # silent truncation
                 .fail_io(on_call=4)                     # OSError(EIO)
-                .crash_at("checkpoint.after_fsync"))    # named crash point
+                .crash_at("snapshot.after_fsync"))      # named crash point
 
     ``fired`` records every fault that actually triggered, so tests can
     assert the injection happened (a fault that never fires is a test

@@ -1,9 +1,10 @@
 """An embedded relational engine: the reproduction's MySQL substitute.
 
 This package front exports the **storage kernel** only: :class:`Database`
-(catalog, transactions, rowid DML, WAL durability and recovery),
-:class:`Table`, the DDL objects, :class:`RecoveryReport` and the typed
-errors; snapshots are in :mod:`repro.storage.snapshot`.  The paper's
+(catalog, transactions, rowid DML, WAL durability, checkpoints and
+recovery), :class:`Table`, the DDL objects, :class:`RecoveryReport` and
+the typed errors; standalone image files (snapshots) are in
+:mod:`repro.storage.snapshot`.  The paper's
 provenance store uses nothing else.
 
 The **query layer** above it is imported from its own modules, and no

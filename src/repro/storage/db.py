@@ -5,8 +5,9 @@ This is the reproduction's MySQL substitute.  It holds the provenance
 store and the relational source database (the OrganelleDB stand-in).
 Transactions provide atomicity via an undo list and durability via the
 write-ahead log, which holds one frame per committed transaction;
-``Database.recover`` rebuilds table contents from the log after a
-simulated crash.  It knows rows, not plans: predicate DML,
+``Database.checkpoint`` replaces the log by an image of the database,
+and ``Database.recover`` rebuilds the tables from the newest image and
+the frames after it.  It knows rows, not plans: predicate DML,
 planning and SQL live in the query layer above it
 (:class:`repro.storage.query.QueryEngine`), which imports this module and
 never the reverse.
@@ -82,9 +83,6 @@ class Database:
         self._active_txn: Optional[int] = None
         self._undo: List[_UndoEntry] = []
         self._schemas: Dict[str, TableSchema] = {}
-        #: WAL frames at or below this LSN are already contained in the
-        #: snapshot this database was loaded from; recover() skips them
-        self._wal_watermark = 0
         if wal_dir is not None:
             os.makedirs(wal_dir, exist_ok=True)
             self._wal = WriteAheadLog(
@@ -249,7 +247,7 @@ class Database:
         ordered indexes are merged — instead of per-row index
         maintenance and begin/undo/commit bookkeeping.  Only valid
         outside a transaction; a failing batch leaves the table
-        unchanged.  Snapshot loading and WAL recovery do not come
+        unchanged.  WAL recovery and image loading do not come
         through here: their rows are already checked by
         ``RowCodec.decode``, so they call ``Table._bulk_insert``.
         """
@@ -359,8 +357,22 @@ class Database:
         self._active_txn = None
         self._undo = []
 
+    def checkpoint(self) -> int:
+        """Replace the WAL by an image of the database: its catalog and
+        every live row, published as the log's next segment before the
+        older segments are removed (see
+        :meth:`~repro.storage.wal.WriteAheadLog.checkpoint`).  Bounds
+        recovery to the image and the frames after it.  Returns the
+        image's size in bytes."""
+        if self._wal is None:
+            raise TransactionError("this database has no WAL to checkpoint")
+        if self._active_txn is not None:
+            raise TransactionError("cannot checkpoint with an open transaction")
+        return self._wal.checkpoint(self.tables)
+
     def recover(self, mode: str = "strict") -> RecoveryReport:
-        """REDO recovery: replay committed transactions from the WAL.
+        """REDO recovery: rebuild the tables from the WAL's newest image
+        and replay the committed transactions after it.
 
         Every intact frame in the log is one committed transaction.
         ``mode="strict"`` raises
@@ -370,44 +382,51 @@ class Database:
         strict recovery either applies everything or changes nothing.
         ``mode="tolerant"`` replays the longest clean prefix and reports
         what it dropped.  A torn tail (crash mid-write) is not
-        corruption in either mode.  Frames at or below the snapshot's
-        LSN watermark are skipped — their effects are already in the
-        snapshot this database was loaded from.
+        corruption in either mode.
+
+        The image's catalog creates the tables it names that do not
+        exist yet; an existing table the catalog declares differently
+        raises :class:`~repro.storage.errors.SchemaError`, again before
+        anything is touched.  Tables created after the image must exist
+        before recovery (schema is not logged in frames).
 
         Replay is bulk, not row-at-a-time: the scan decodes each row
         with its table's codec, which checks it as ``normalize`` would,
-        and committed inserts are grouped into per-table runs
-        (``coalesce_replay``) that go to the table's batch path with
-        their encoded sizes, so no row is normalized or sized again.
-        The heap is appended in one pass and secondary indexes are
-        bulk-built or merged once per run; the batch path still rejects
-        duplicate and NULL keys.  Deletes flush their table's pending
-        run first, preserving per-table order.
+        and committed inserts — the image's rows first — are grouped
+        into per-table runs (``coalesce_replay``) that go to the table's
+        batch path with their encoded sizes, so no row is normalized or
+        sized again.  The heap is appended in one pass and secondary
+        indexes are bulk-built or merged once per run; the batch path
+        still rejects duplicate and NULL keys.  Deletes flush their
+        table's pending run first, preserving per-table order.
 
-        Returns a :class:`~repro.storage.wal.RecoveryReport`.  Tables
-        must already exist (schema is metadata, not logged — as in most
-        real systems).
+        Returns a :class:`~repro.storage.wal.RecoveryReport`.
         """
         if self._wal is None:
             raise TransactionError("this database has no WAL to recover from")
         stats = ScanStats()
-        report = RecoveryReport(mode=mode)
-        watermark = self._wal_watermark
-        frames: List[WalFrame] = []
-        for frame in self._wal.scan(mode=mode, stats=stats):
-            if frame.lsn <= watermark:
-                report.records_skipped += 1
-            else:
-                frames.append(frame)
-        report.txns_replayed = len(frames)
-        report.txns_dropped = stats.torn_frames
-        report.segments_scanned = stats.segments_scanned
-        report.records_scanned = stats.records_scanned
-        report.torn_tail_bytes = stats.torn_tail_bytes
-        report.bytes_quarantined = stats.bytes_quarantined
-        report.corruption = stats.corruption
+        frames = list(self._wal.scan(mode=mode, stats=stats))
+        for schema in (stats.catalog or {}).values():
+            if schema.name not in self.tables:
+                self.create_table(schema)
         for frame in frames:
             self._next_txn_id = max(self._next_txn_id, frame.txn_id + 1)
+        self._replay(frames)
+        return RecoveryReport(
+            mode=mode,
+            segments_scanned=stats.segments_scanned,
+            records_scanned=stats.records_scanned,
+            # the image's frame, when it verified, comes first
+            txns_replayed=len(frames) - bool(frames and stats.catalog is not None),
+            txns_dropped=stats.torn_frames,
+            torn_tail_bytes=stats.torn_tail_bytes,
+            bytes_quarantined=stats.bytes_quarantined,
+            corruption=stats.corruption,
+        )
+
+    def _replay(self, frames: List[WalFrame]) -> None:
+        """Apply scanned frames to the tables, in bulk (see
+        :meth:`recover`)."""
         for op, table_name, payload, size in coalesce_replay(frames):
             table = self.table(table_name)
             if op == "bulk_insert":
@@ -423,7 +442,6 @@ class Database:
                     if row == payload:
                         table.delete_row(rowid)
                         break
-        return report
 
     # ------------------------------------------------------------------
     # Statistics

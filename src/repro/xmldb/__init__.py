@@ -12,14 +12,13 @@ provides exactly that:
 * :mod:`repro.xmldb.xpath` — a small XPath-subset evaluator (child,
   wildcard, descendant, leaf-equality predicates) used by approximate
   provenance;
-* :mod:`repro.xmldb.serialize` — parse/print an XML subset via the
-  standard library, producing keyed views.
+* :mod:`repro.xmldb.serialize` — print a keyed tree as XML.
 """
 
 from .store import NodeId, XMLDatabase, XMLDBError
 from .keys import KeySpec, keyed_view
 from .xpath import XPath, XPathError
-from .serialize import tree_from_xml, tree_to_xml
+from .serialize import tree_to_xml
 
 __all__ = [
     "XMLDatabase",
@@ -29,6 +28,5 @@ __all__ = [
     "keyed_view",
     "XPath",
     "XPathError",
-    "tree_from_xml",
     "tree_to_xml",
 ]

@@ -1,28 +1,22 @@
-"""Round-trip between keyed trees and an XML text form.
+"""Render keyed trees as XML text.
 
 ``tree_to_xml`` renders a keyed tree back to XML (keyed edges
 ``label{key}`` become elements with a ``key`` attribute; ``@attr`` leaves
-become attributes), used for export and size reporting.  ``tree_from_xml``
-is a convenience over :func:`repro.xmldb.keys.keyed_view`.
+become attributes), used for export and size reporting.  The reverse
+direction is :func:`repro.xmldb.keys.keyed_view`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Sequence
+from typing import List
 from xml.sax.saxutils import escape, quoteattr
 
 from ..core.tree import Tree
-from .keys import KeySpec, keyed_view
 
-__all__ = ["tree_from_xml", "tree_to_xml"]
+__all__ = ["tree_to_xml"]
 
 _KEYED_RE = re.compile(r"^(?P<label>.+)\{(?P<key>[^{}]*)\}$")
-
-
-def tree_from_xml(xml_text: str, specs: Sequence[KeySpec] = ()) -> Tree:
-    """Parse XML text into its fully-keyed tree view."""
-    return keyed_view(xml_text, specs)
 
 
 def tree_to_xml(tree: Tree, root_tag: str = "db", indent: int = 0) -> str:

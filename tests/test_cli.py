@@ -135,8 +135,9 @@ class TestFigures:
 
 class TestRecover:
     def _make_crashed_db(self, tmp_path):
+        """A WAL directory holding a checkpoint image and one commit
+        after it; returns the image segment and the directory."""
         from repro.storage import Column, ColumnType, Database, TableSchema
-        from repro.storage.snapshot import checkpoint
 
         wal_dir = str(tmp_path / "store")
         db = Database("db", wal_dir=wal_dir)
@@ -148,23 +149,23 @@ class TestRecover:
             )
         )
         db.insert_many("t", [(i,) for i in range(4)])
-        snap = str(tmp_path / "db.snap")
-        checkpoint(db, snap)
+        db.checkpoint()
         db.insert("t", (99,))  # committed after the checkpoint
         db.crash()
-        return snap, wal_dir
+        [image] = db._wal.segment_paths()
+        return image, wal_dir
 
     def test_recover_reports_and_counts(self, tmp_path, capsys):
-        snap, wal_dir = self._make_crashed_db(tmp_path)
-        code = main(["recover", snap, "--wal-dir", wal_dir])
+        _image, wal_dir = self._make_crashed_db(tmp_path)
+        code = main(["recover", "--wal-dir", wal_dir])
         out = capsys.readouterr().out
         assert code == 0
         assert "1 txn(s) replayed" in out
         assert "t: 5 row(s)" in out
 
     def test_recover_json(self, tmp_path, capsys):
-        snap, wal_dir = self._make_crashed_db(tmp_path)
-        code = main(["recover", snap, "--wal-dir", wal_dir, "--json"])
+        _image, wal_dir = self._make_crashed_db(tmp_path)
+        code = main(["recover", "--wal-dir", wal_dir, "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["report"]["txns_replayed"] == 1
@@ -172,14 +173,15 @@ class TestRecover:
         assert payload["tables"] == {"t": 5}
 
     def test_recover_corrupt_snapshot_fails_cleanly(self, tmp_path, capsys):
-        snap, wal_dir = self._make_crashed_db(tmp_path)
-        with open(snap, "r+b") as handle:
-            handle.seek(25)
+        image, wal_dir = self._make_crashed_db(tmp_path)
+        with open(image, "r+b") as handle:
+            handle.seek(25)  # inside the image's catalog
             byte = handle.read(1)
             handle.seek(25)
             handle.write(bytes([byte[0] ^ 0x10]))
-        code = main(["recover", snap, "--wal-dir", wal_dir])
+        code = main(["recover", "--wal-dir", wal_dir])
         err = capsys.readouterr().err
         assert code == 1
-        assert "recovery failed" in err
-        assert "mismatch" in err
+        assert err.startswith("recovery failed: WALCorruptionError: ")
+        assert "catalog checksum mismatch" in err
+        assert len(err.strip().splitlines()) == 1

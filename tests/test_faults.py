@@ -2,7 +2,8 @@
 
 Every durability claim the storage layer makes is exercised against an
 actual injected fault: torn writes, bit flips, short writes, EIO, and
-crashes at every named point of the checkpoint protocol.  The invariant
+crashes at every named point of the checkpoint protocol (an image
+segment published, then the log truncated in front of it).  The invariant
 under test, everywhere: a fault ends in either **full recovery of the
 committed prefix** or a **typed error naming the corruption site** —
 never silent loss of a committed-and-flushed transaction, and never a
@@ -25,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.checksum import ALG_CRC32, ALG_CRC32C, checksum, crc32c
 from repro.common.clock import CostModel, VirtualClock
 from repro.common.faults import NO_FAULTS, FaultPlan, SimulatedCrash
 from repro.storage import (
@@ -41,8 +41,7 @@ from repro.storage import (
 )
 from repro.storage.client import Client, FlakyTransport, LocalTransport, RetryPolicy
 from repro.storage.server import DatabaseServer
-from repro.storage.snapshot import checkpoint, load_snapshot, save_snapshot
-from repro.storage.wal import KIND_INSERT, WriteAheadLog
+from repro.storage.snapshot import load_snapshot, save_snapshot
 
 _PROFILES = {
     "default": {"max_examples": 60, "deadline": None},
@@ -65,25 +64,25 @@ def schema():
 
 
 # ----------------------------------------------------------------------
-# Checksums
+# The one checksum
 # ----------------------------------------------------------------------
 
 
 class TestChecksum:
-    def test_crc32c_test_vector(self):
-        # RFC 3720 appendix B.4 check value
-        assert crc32c(b"123456789") == 0xE3069283
-
-    def test_chaining_matches_one_shot(self):
-        data = b"the quick brown fox"
-        for alg in (ALG_CRC32, ALG_CRC32C):
-            running = checksum(alg, data[:7])
-            running = checksum(alg, data[7:], running)
-            assert running == checksum(alg, data)
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            checksum(99, b"x")
+    def test_unknown_algorithm_rejected(self, tmp_path):
+        """Segments are sealed with zlib's CRC-32 (algorithm id 0); a
+        segment naming any other algorithm is refused with a typed error
+        naming the header byte, by recovery and by the appender."""
+        segment, data = _build_log(tmp_path)
+        with open(segment, "r+b") as handle:
+            handle.seek(5)
+            handle.write(b"\x01")
+        db = _fresh_db(tmp_path)
+        with pytest.raises(WALCorruptionError, match="unknown checksum algorithm id 1") as info:
+            db.recover(mode="strict")
+        assert info.value.offset == 5
+        with pytest.raises(WALCorruptionError):
+            db.insert("t", (9, "z"))
 
 
 # ----------------------------------------------------------------------
@@ -260,15 +259,19 @@ class TestWALCorruptionMatrix:
             db.insert("t", (9, "z"))
 
     def test_lsn_continues_across_truncate(self, tmp_path):
-        log = WriteAheadLog(str(tmp_path / "w.wal"), {"t": schema()})
-        row = schema().codec.encode((1, "a"))
-        for txn_id in range(1, 4):
-            log.append((KIND_INSERT, "t", row))
-            assert log.flush(txn_id) == txn_id  # one LSN per frame
-        assert log.last_lsn() == 3
-        log.truncate()
-        log.append((KIND_INSERT, "t", row))
-        assert log.flush(4) == 4  # never reset
+        """A checkpoint truncates the log in front of its image, and the
+        LSN sequence runs on through the image: it takes the next LSN,
+        and the frame after it the one after that."""
+        db = _fresh_db(tmp_path)
+        for i in range(3):
+            db.insert("t", (i, "a"))
+        assert db._wal.last_lsn() == 3  # one LSN per frame
+        db.checkpoint()
+        assert db._wal.last_lsn() == 4  # the image's frame
+        db.insert("t", (3, "a"))
+        db.crash()
+        fresh = Database("w", wal_dir=str(tmp_path))
+        assert [frame.lsn for frame in fresh._wal.scan()] == [4, 5]
 
     def test_v2_segment_is_refused(self, tmp_path):
         """The record-per-row v2 format has no reader: its segments are
@@ -277,7 +280,7 @@ class TestWALCorruptionMatrix:
         segment = tmp_path / "w.wal.000001"
         # a v2 segment header (base LSN 1) and its first BEGIN record
         segment.write_bytes(
-            struct.pack("<4sBBHQ", b"WAL2", 2, ALG_CRC32, 0, 1)
+            struct.pack("<4sBBHQ", b"WAL2", 2, 0, 0, 1)
             + bytes.fromhex("09000000e7338c440100000000000000000700000000000000")
         )
         db = _fresh_db(tmp_path)
@@ -372,20 +375,87 @@ class TestRecoveryReport:
             "records_scanned": 2,
             "txns_replayed": 2,
             "txns_dropped": 0,
-            "records_skipped": 0,
             "torn_tail_bytes": 0,
             "bytes_quarantined": 0,
             "corruption": None,
         }
         assert report.summary() == (
             "recovery (strict): 2 txn(s) replayed, 0 dropped\n"
-            "  scanned 2 frame(s) in 1 segment(s), skipped 0 below the "
-            "snapshot watermark"
+            "  scanned 2 frame(s) in 1 segment(s)"
         )
 
 
 # ----------------------------------------------------------------------
-# Snapshot corruption and truncation
+# The frame header checks itself
+# ----------------------------------------------------------------------
+
+
+def _frame_starts(data):
+    """Offsets of the frames of a clean one-segment log image."""
+    starts, offset = [], 16
+    while offset < len(data):
+        starts.append(offset)
+        (length,) = struct.unpack_from("<I", data, offset)
+        offset += 24 + length
+    return starts
+
+
+class TestFrameHeaderCheck:
+    """A damaged frame header is corruption, never a torn tail: its
+    last four bytes check the first twenty.  Without that check a
+    flipped ``ops_len`` that ran past the end of the final segment read
+    as a crash mid-write, strict recovery dropped every committed frame
+    from there on as a "torn tail", and the next commit truncated them
+    away for good."""
+
+    def test_ops_len_flip_is_corruption_not_a_torn_tail(self, tmp_path):
+        segment, data = _build_log(tmp_path, n_txns=5)
+        second = _frame_starts(data)[1]
+        with open(segment, "r+b") as handle:
+            handle.seek(second)  # the low byte of frame 2's ops_len
+            handle.write(bytes([data[second] ^ 0x80]))
+        db = _fresh_db(tmp_path)
+        with pytest.raises(WALCorruptionError, match="frame header") as info:
+            db.recover(mode="strict")
+        assert info.value.offset == second
+        with pytest.raises(WALCorruptionError):
+            db.insert("t", (99, "z"))
+        with open(segment, "rb") as handle:
+            assert handle.read()[second + 1 :] == data[second + 1 :]  # nothing truncated
+
+    def test_every_header_bit_flip_of_a_non_final_frame_is_corruption(self, tmp_path):
+        segment, data = _build_log(tmp_path, n_txns=3)
+        starts = _frame_starts(data)
+        for start in starts[:-1]:
+            for position in range(start, start + 24):
+                for bit in range(8):
+                    mutated = bytearray(data)
+                    mutated[position] ^= 1 << bit
+                    with open(segment, "wb") as handle:
+                        handle.write(mutated)
+                    db = _fresh_db(tmp_path)
+                    with pytest.raises(WALCorruptionError):
+                        db.recover(mode="strict")
+                    assert db.table("t").row_count == 0
+                    with pytest.raises(WALCorruptionError):
+                        db.insert("t", (99, "z"))  # the appender refuses
+
+    def test_every_cut_of_the_final_frame_is_a_torn_tail(self, tmp_path):
+        segment, data = _build_log(tmp_path, n_txns=3)
+        last = _frame_starts(data)[-1]
+        for cut in range(last, len(data)):
+            with open(segment, "wb") as handle:
+                handle.write(data[:cut])
+            db = _fresh_db(tmp_path)
+            report = db.recover(mode="strict")
+            assert report.corruption is None
+            assert report.txns_replayed == 2
+            assert report.txns_dropped == (1 if cut > last else 0)
+            assert report.torn_tail_bytes == cut - last
+
+
+# ----------------------------------------------------------------------
+# Standalone images: corruption and truncation
 # ----------------------------------------------------------------------
 
 
@@ -419,10 +489,12 @@ class TestSnapshotFaults:
                 load_snapshot(path)
 
     def test_v1_snapshot_is_refused(self, tmp_path):
+        """The RPRO snapshot format has no reader: a file in it is not a
+        WAL segment, and is refused by its magic."""
         path = str(tmp_path / "old.snap")
         with open(path, "wb") as handle:
-            handle.write(b"RPRO" + struct.pack("<HI", 1, 0))  # v1 header, no tables
-        with pytest.raises(StorageError, match="unsupported snapshot version 1"):
+            handle.write(b"RPRO" + struct.pack("<HBQI", 2, 0, 0, 0) + b"RPND" + bytes(4))
+        with pytest.raises(WALCorruptionError, match="bad segment magic"):
             load_snapshot(path)
 
     def test_clean_roundtrip(self, tmp_path):
@@ -452,7 +524,8 @@ class TestSnapshotFaults:
         path = str(tmp_path / "s.snap")
         save_snapshot(db, path)  # the old snapshot
         db.insert("t", (2, "b"))
-        plan = FaultPlan().tear_write(on_write=3, keep_bytes=2)
+        # an image is two writes: header and catalog, then the frame
+        plan = FaultPlan().tear_write(on_write=2, keep_bytes=2)
         with pytest.raises(SimulatedCrash):
             save_snapshot(db, path, faults=plan)
         # the old snapshot is intact; the torn temp never replaced it
@@ -470,100 +543,167 @@ CRASH_POINTS = [
     "snapshot.after_fsync",
     "snapshot.after_rename",
     "checkpoint.before_truncate",
-    "wal.truncate.begin",
     "wal.truncate.mid",
     "wal.truncate.end",
 ]
 
 
+def _recovered_rows(wal_dir, mode="strict"):
+    """Recover the log in ``wal_dir`` into a fresh database, its tables
+    made by the image's catalog."""
+    db = Database("db", wal_dir=wal_dir)
+    report = db.recover(mode=mode)
+    return db, report, sorted(row for _r, row in db.table("t").scan())
+
+
 class TestCheckpointCrashMatrix:
     """Crash the second checkpoint at every named point of the
     protocol.  Whatever the interleaving of temp-write, fsync, rename,
-    and segment deletion, recovery from what's left on disk must
+    and segment removal, recovery from what's left on disk must
     reproduce exactly the committed state."""
+
+    def _log_with_a_checkpoint(self, wal_dir, plan):
+        """A multi-segment log: three rows, a clean checkpoint, then four
+        one-row transactions that rotate past it."""
+        db = Database("db", wal_dir=wal_dir, faults=plan)
+        db.create_table(schema())
+        db._wal._segment_bytes = 128  # force rotation: multi-segment WAL
+        db.insert_many("t", [(i, f"a{i}") for i in range(3)])
+        db.checkpoint()  # plan is still empty: a clean checkpoint
+        for i in range(3, 7):
+            db.insert("t", (i, f"b{i}"))  # one txn per row, spans segments
+        assert len(db._wal.segment_paths()) > 2  # truncate.mid reachable
+        return db
 
     @pytest.mark.parametrize("point", CRASH_POINTS)
     def test_crash_point_recovers_committed_state(self, tmp_path, point):
         wal_dir = str(tmp_path)
         plan = FaultPlan()
-        db = Database("db", wal_dir=wal_dir, faults=plan)
-        db.create_table(schema())
-        db._wal._segment_bytes = 128  # force rotation: multi-segment WAL
-        db.insert_many("t", [(i, f"a{i}") for i in range(3)])
-        snap = os.path.join(wal_dir, "db.snap")
-        checkpoint(db, snap)  # plan is still empty: a clean checkpoint
-        for i in range(3, 7):
-            db.insert("t", (i, f"b{i}"))  # one txn per row, spans segments
+        db = self._log_with_a_checkpoint(wal_dir, plan)
         committed = sorted(row for _r, row in db.table("t").scan())
-        assert len(db._wal.segment_paths()) > 1  # truncate.mid reachable
 
         plan.crash_at(point)
         with pytest.raises(SimulatedCrash):
-            checkpoint(db, snap, faults=plan)
+            db.checkpoint()
         assert plan.fired == [f"crash@{point}"]
 
-        recovered = load_snapshot(snap, name="db", wal_dir=wal_dir)
-        report = recovered.recover(mode="strict")
+        recovered, report, rows = _recovered_rows(wal_dir)
         assert report.corruption is None
-        rows = sorted(row for _r, row in recovered.table("t").scan())
         assert rows == committed, f"crash at {point} lost committed state"
+        # the next checkpoint completes and leaves the image alone
+        recovered.checkpoint()
+        assert os.listdir(wal_dir) == [os.path.basename(recovered._wal.segment_paths()[0])]
 
     def test_commit_after_a_restart_from_a_checkpoint_survives(self, tmp_path):
-        """A checkpoint removes every segment.  A database restarted
-        from its snapshot numbers new frames above the snapshot's
-        watermark, so recovery after the next crash replays them
-        instead of skipping them as already snapshotted."""
+        """A restart after a checkpoint recovers from its image; a
+        commit made then follows the image in the log, so recovery
+        after the next crash replays it."""
         wal_dir = str(tmp_path)
         db = Database("db", wal_dir=wal_dir)
         db.create_table(schema())
         for i in range(3):
             db.insert("t", (i, f"a{i}"))
-        snap = os.path.join(wal_dir, "db.snap")
-        checkpoint(db, snap)
-        assert db._wal.segment_paths() == []
+        db.checkpoint()
+        assert len(db._wal.segment_paths()) == 1  # the image alone
         db.crash()
 
-        restarted = load_snapshot(snap, name="db", wal_dir=wal_dir)
-        restarted.recover()
+        restarted, _report, _rows = _recovered_rows(wal_dir)
         restarted.insert("t", (100, "post"))
         restarted.crash()
 
-        final = load_snapshot(snap, name="db", wal_dir=wal_dir)
-        report = final.recover(mode="strict")
+        _final, report, rows = _recovered_rows(wal_dir)
         assert report.txns_replayed == 1
-        assert report.records_skipped == 0
-        rows = sorted(row for _r, row in final.table("t").scan())
+        assert report.records_scanned == 2  # the image's frame and the commit
         assert rows == [(0, "a0"), (1, "a1"), (2, "a2"), (100, "post")]
 
     def test_post_crash_checkpoint_completes(self, tmp_path):
-        """After a mid-truncate crash, the recovered database can
-        checkpoint again and the watermark bookkeeping stays sound."""
+        """After a crash mid-truncation, the recovered database can
+        checkpoint again and keep committing."""
         wal_dir = str(tmp_path)
         plan = FaultPlan()
-        db = Database("db", wal_dir=wal_dir, faults=plan)
-        db.create_table(schema())
-        db._wal._segment_bytes = 128
-        db.insert_many("t", [(i, f"a{i}") for i in range(3)])
-        snap = os.path.join(wal_dir, "db.snap")
-        checkpoint(db, snap)
-        for i in range(3, 7):
-            db.insert("t", (i, f"b{i}"))
+        db = self._log_with_a_checkpoint(wal_dir, plan)
         committed = sorted(row for _r, row in db.table("t").scan())
 
         plan.crash_at("wal.truncate.mid")
         with pytest.raises(SimulatedCrash):
-            checkpoint(db, snap, faults=plan)
+            db.checkpoint()
 
-        recovered = load_snapshot(snap, name="db", wal_dir=wal_dir)
-        recovered.recover()
-        checkpoint(recovered, snap)  # completes cleanly this time
+        recovered, _report, _rows = _recovered_rows(wal_dir)
+        recovered.checkpoint()  # completes cleanly this time
+        assert len(recovered._wal.segment_paths()) == 1
         recovered.insert("t", (100, "post"))
         recovered.crash()
 
-        final = load_snapshot(snap, name="db", wal_dir=wal_dir)
-        final.recover()
-        rows = sorted(row for _r, row in final.table("t").scan())
+        _final, _report, rows = _recovered_rows(wal_dir)
         assert rows == committed + [(100, "post")]
+
+    def test_a_crashed_checkpoint_leaves_no_temp_behind(self, tmp_path):
+        """A crash before the rename leaves the temp image, named after
+        the segment it was to become; commits that rotate the log move
+        the next checkpoint to another name, and it still removes it."""
+        wal_dir = str(tmp_path)
+        plan = FaultPlan()
+        db = self._log_with_a_checkpoint(wal_dir, plan)
+        plan.crash_at("snapshot.after_fsync")
+        with pytest.raises(SimulatedCrash):
+            db.checkpoint()
+        [temp] = [name for name in os.listdir(wal_dir) if name.endswith(".tmp")]
+        recovered, _report, _rows = _recovered_rows(wal_dir)
+        recovered._wal._segment_bytes = 128
+        for i in range(10, 14):
+            recovered.insert("t", (i, "c"))  # rotates past the temp's name
+        recovered.checkpoint()
+        assert temp not in os.listdir(wal_dir)
+        assert len(os.listdir(wal_dir)) == 1
+
+    def test_recovery_reads_nothing_before_the_newest_image(self, tmp_path):
+        """Segments a crash left in front of the image are never read:
+        damage in them does not reach recovery."""
+        wal_dir = str(tmp_path)
+        plan = FaultPlan()
+        db = self._log_with_a_checkpoint(wal_dir, plan)
+        committed = sorted(row for _r, row in db.table("t").scan())
+        plan.crash_at("checkpoint.before_truncate")
+        with pytest.raises(SimulatedCrash):
+            db.checkpoint()
+        first = db._wal.segment_paths()[0]
+        with open(first, "r+b") as handle:
+            handle.write(b"JUNK")
+        _db, report, rows = _recovered_rows(wal_dir)
+        assert rows == committed
+        assert report.segments_scanned == 1
+        assert report.txns_replayed == 0
+
+
+class TestOperatorPath:
+    """The path the appender's refusal prescribes, end to end: a corrupt
+    segment, tolerant recovery, a checkpoint, a commit, and a strict
+    recovery by a fresh database object."""
+
+    def test_tolerant_recovery_then_checkpoint_rebuilds_the_log(self, tmp_path):
+        segment, data = _build_log(tmp_path, n_txns=4)
+        third = _frame_starts(data)[2]
+        with open(segment, "r+b") as handle:
+            handle.seek(third + 30)  # inside frame 3's ops
+            handle.write(bytes([data[third + 30] ^ 0x01]))
+        db = _fresh_db(tmp_path)
+        with pytest.raises(WALCorruptionError):
+            db.insert("t", (9, "refused"))
+        report = db.recover(mode="tolerant")
+        assert report.txns_replayed == 2 and report.corruption is not None
+
+        db.checkpoint()
+        db.insert("t", (9, "after"))
+        db.crash()
+
+        fresh = Database("w", wal_dir=str(tmp_path))
+        report = fresh.recover(mode="strict")
+        assert report.corruption is None
+        assert report.txns_replayed == 1
+        assert sorted(row for _r, row in fresh.table("t").scan()) == [
+            (0, "v0"), (1, "v1"), (9, "after"),
+        ]
+        assert segment not in fresh._wal.segment_paths()  # the corrupt one is gone
 
 
 # ----------------------------------------------------------------------

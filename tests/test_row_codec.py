@@ -2,7 +2,7 @@
 
 * Golden bytes: a row of every column type encodes to the exact bytes
   the per-value codec wrote before the codec was compiled, so WAL
-  segments and snapshots stay readable both ways.
+  segments and images stay readable both ways.
 * Exact sizes: ``size`` equals the length of ``encode`` for every type,
   NULL and non-ASCII text included.
 * Typed decode errors: every truncation or corruption a decoder can see
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.checksum import ALG_CRC32
 from repro.storage.db import Database
 from repro.storage.errors import SchemaError, UnknownColumnError, WALError
 from repro.storage.schema import Column, TableSchema
@@ -75,11 +74,12 @@ GOLDEN_OPS_HEX = (
     "6520e2988305430400"
 )
 #: a segment holding txn 7's frame, CRC-32 sealed: the segment header
-#: (magic, version 3, alg 0, base LSN 1), the frame header (79 bytes of
-#: ops, crc, LSN 1, txn 7), then the ops
+#: (magic, version 4, alg 0, no flags, base LSN 1), the frame header (79
+#: bytes of ops, their crc, LSN 1, txn 7, the crc of those 20 bytes),
+#: then the ops
 GOLDEN_SEGMENT_HEX = (
-    "57414c32030000000100000000000000"
-    "4f0000003cdcd23f01000000000000000700000000000000" + GOLDEN_OPS_HEX
+    "57414c32040000000100000000000000"
+    "4f00000037d005170100000000000000070000009c58e8c1" + GOLDEN_OPS_HEX
 )
 
 
@@ -105,9 +105,7 @@ class TestGoldenBytes:
 
     def test_wal_segment_bytes_pinned(self, tmp_path):
         schema = golden_schema()
-        log = WriteAheadLog(
-            str(tmp_path / "g.wal"), {"golden": schema}, checksum_alg=ALG_CRC32
-        )
+        log = WriteAheadLog(str(tmp_path / "g.wal"), {"golden": schema})
         for kind, table, row in golden_ops(schema):
             log.append((kind, table, schema.codec.encode(row)))
         assert log.flush(7) == 1
@@ -134,10 +132,16 @@ class TestGoldenBytes:
         db.commit()
         (segment,) = db._wal.segment_paths()
         with open(segment, "rb") as handle:
-            # the second frame: txn 2's id ends its header, its ops follow
-            assert handle.read().hex().endswith("0200000000000000" + GOLDEN_OPS_HEX)
+            data = handle.read()
+        ops = bytes.fromhex(GOLDEN_OPS_HEX)
+        # the second frame: txn 2's id and the header check end its
+        # header, its ops follow
+        assert data.endswith(ops)
+        assert data[-len(ops) - 8 : -len(ops) - 4] == struct.pack("<I", 2)
 
     def test_snapshot_row_section_pinned(self, tmp_path):
+        """An image is a segment flagged as one: its frame's ops are the
+        rows as INSERTs, each the golden row bytes."""
         db = Database("g")
         db.create_table(golden_schema())
         for row in GOLDEN_ROWS:
@@ -146,10 +150,12 @@ class TestGoldenBytes:
         save_snapshot(db, path)
         with open(path, "rb") as handle:
             data = handle.read()
-        rows = struct.pack("<I", 3) + b"".join(bytes.fromhex(h) for h in GOLDEN_HEX)
-        assert data[:6] == b"RPRO\x02\x00"
-        assert data[-8 - len(rows) : -8] == rows
-        assert data[-8:-4] == b"RPND"
+        insert = bytes.fromhex("010600") + b"golden"
+        ops = b"".join(insert + bytes.fromhex(h) for h in GOLDEN_HEX)
+        assert data[:8] == b"WAL2\x04\x00\x01\x00"  # version 4, crc32, image
+        assert data.endswith(ops)
+        (ops_len,) = struct.unpack_from("<I", data, len(data) - len(ops) - 24)
+        assert ops_len == len(ops)
         restored = load_snapshot(path)
         assert [row for _rid, row in restored.table("golden").scan()] == [
             row for _rid, row in db.table("golden").scan()

@@ -1,4 +1,11 @@
-"""Tests for database snapshots and checkpointing."""
+"""Tests for database images: standalone snapshots and checkpoints.
+
+A snapshot file and a checkpoint are the same thing, a WAL image
+segment: the catalog and one frame holding every live row.
+
+``REPRO_HYPOTHESIS_PROFILE=ci`` derandomizes the round-trip property,
+so an image regression fails deterministically.
+"""
 
 import os
 
@@ -10,13 +17,21 @@ from repro.storage import (
     Column,
     ColumnType,
     Database,
-    IndexSpec,
+    SchemaError,
     StorageError,
     TableSchema,
 )
 from repro.storage.query import QueryEngine
-from repro.storage.snapshot import checkpoint, load_snapshot, save_snapshot
+from repro.storage.snapshot import load_snapshot, save_snapshot
 from repro.storage.sql import execute_sql
+
+_PROFILES = {
+    "default": {"max_examples": 25, "deadline": None},
+    "ci": {"max_examples": 25, "deadline": None, "derandomize": True},
+}
+_PROFILE = _PROFILES.get(
+    os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"), _PROFILES["default"]
+)
 
 
 def populated_db():
@@ -78,7 +93,7 @@ class TestSnapshot:
         with pytest.raises(StorageError):
             load_snapshot(str(path))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(**_PROFILE)
     @given(st.lists(
         st.tuples(st.integers(0, 1000), st.text(max_size=8)),
         unique_by=lambda kv: kv[0], max_size=20,
@@ -104,30 +119,58 @@ class TestSnapshot:
         )
 
 
+def wal_db(tmp_path):
+    db = Database("d", wal_dir=str(tmp_path))
+    db.create_table(TableSchema(
+        "t", [Column("k", ColumnType.INT, nullable=False)], primary_key=("k",)
+    ))
+    return db
+
+
 class TestCheckpoint:
     def test_checkpoint_truncates_wal(self, tmp_path):
-        db = Database("d", wal_dir=str(tmp_path))
-        db.create_table(TableSchema(
-            "t", [Column("k", ColumnType.INT, nullable=False)], primary_key=("k",)
-        ))
+        db = wal_db(tmp_path)
         db.insert("t", (1,))
         db.insert("t", (2,))
-        assert len(list(db._wal.scan(mode="tolerant"))) > 0
-        checkpoint(db, str(tmp_path / "d.snap"))
-        assert list(db._wal.scan(mode="tolerant")) == []
+        assert len(list(db._wal.scan(mode="tolerant"))) == 2
+        db.checkpoint()
+        # the log is now the image alone: one frame holding both rows
+        [image] = db._wal.segment_paths()
+        [frame] = db._wal.scan(mode="tolerant")
+        assert frame.txn_id == 0
+        assert sorted(row for _kind, _table, row, _size in frame.ops) == [(1,), (2,)]
+        # the standalone loader reads the same segment
+        assert load_snapshot(image).table("t").row_count == 2
 
     def test_recovery_equals_snapshot_plus_log(self, tmp_path):
-        db = Database("d", wal_dir=str(tmp_path))
-        db.create_table(TableSchema(
-            "t", [Column("k", ColumnType.INT, nullable=False)], primary_key=("k",)
-        ))
+        db = wal_db(tmp_path)
         db.insert("t", (1,))
-        snap = str(tmp_path / "d.snap")
-        checkpoint(db, snap)
-        db.insert("t", (2,))  # after the checkpoint: only in the WAL
+        db.checkpoint()
+        db.insert("t", (2,))  # after the checkpoint: a frame after the image
         db.crash()
 
-        # re-attach the WAL and replay the post-checkpoint suffix
-        restored = load_snapshot(snap, name="d", wal_dir=str(tmp_path))
+        # a fresh database: the image's catalog creates the table
+        restored = Database("d", wal_dir=str(tmp_path))
         assert restored.recover().txns_replayed == 1
         assert {row[0] for _r, row in restored.table("t").scan()} == {1, 2}
+
+    def test_open_transaction_rejected(self, tmp_path):
+        db = wal_db(tmp_path)
+        db.begin()
+        with pytest.raises(StorageError):
+            db.checkpoint()
+
+    def test_conflicting_schema_rejected_before_anything_changes(self, tmp_path):
+        db = wal_db(tmp_path)
+        db.insert("t", (1,))
+        db.checkpoint()
+        db.crash()
+        other = Database("d", wal_dir=str(tmp_path))
+        other.create_table(TableSchema(
+            "t", [Column("k", ColumnType.TEXT, nullable=False)], primary_key=("k",)
+        ))
+        with pytest.raises(SchemaError, match="differs"):
+            other.recover()
+        assert other.table("t").row_count == 0
+        with pytest.raises(SchemaError):
+            other.insert("t", ("x",))  # nor will it append under the image
