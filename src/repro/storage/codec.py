@@ -15,12 +15,16 @@ index keys and bytes come from.  Every :class:`~repro.storage.schema.TableSchema
 builds one when it is constructed; ``Table`` mutations, the WAL's record
 payloads and snapshot rows all go through it.  Each operation is one loop
 over per-column facts worked out at construction, with no helper call per
-value.
+value.  ``decode`` is compiled further: a function generated for the
+schema reads a row in its usual form with one ``struct`` unpack per run
+of fixed-width columns, and hands anything else to the column loop (see
+:func:`_compile_decoder`).
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Sequence, Tuple
 
@@ -99,6 +103,16 @@ class RowCodec:
             for position, column in enumerate(schema.columns)
             if column.type is ColumnType.CHAR
         )
+        #: rows ``decode`` handed from its compiled path to the column
+        #: loop: a non-ASCII CHAR, or bytes the loop then rejects
+        self.fallbacks = 0
+        #: ``decode(data, offset=0) -> (row, next_offset)``: the compiled
+        #: decoder, with :meth:`_decode_columns` as its fallback and its
+        #: contract
+        code, namespace = _compile_decoder(self._decoding)
+        namespace = dict(namespace, fallback=self._fallback)
+        exec(code, namespace)
+        self.decode = namespace["decode"]
 
     # ------------------------------------------------------------------
     def normalize(self, row: "Sequence[Any] | Dict[str, Any]") -> Row:
@@ -194,8 +208,13 @@ class RowCodec:
         body = b"".join(parts)
         return _U32.pack(len(body)) + body
 
-    def decode(self, data: bytes, offset: int = 0) -> Tuple[Row, int]:
-        """Decode the length-prefixed row starting at ``offset``.
+    def _fallback(self, data: bytes, offset: int) -> Tuple[Row, int]:
+        self.fallbacks += 1
+        return self._decode_columns(data, offset)
+
+    def _decode_columns(self, data: bytes, offset: int = 0) -> Tuple[Row, int]:
+        """Decode the length-prefixed row starting at ``offset``, value
+        by value; what ``decode`` returns or raises.
 
         Returns ``(row, next_offset)``.  The row is checked as
         :meth:`normalize` would check it, so a caller may store it
@@ -274,3 +293,112 @@ class RowCodec:
         if at != length:
             raise WALError(f"trailing bytes in encoded row ({length - at})")
         return tuple(values), offset + length
+
+
+#: one-character strings of the ASCII codes, by code
+_ASCII = tuple(map(chr, range(0x80)))
+#: value tag -> the struct format of what follows the tag: the value, or
+#: a TEXT value's byte length
+_AFTER_TAG = {_TAG_INT: "q", _TAG_REAL: "d", _TAG_TEXT: "I", _TAG_BOOL: "B", _TAG_CHAR: "B"}
+
+
+@lru_cache(maxsize=128)
+def _compile_decoder(decoding: Tuple[Tuple[int, bool], ...]) -> Tuple[Any, Dict[str, Any]]:
+    """Generate the decode function of a schema whose columns take the
+    ``(tag, nullable)`` pairs of ``decoding``: the code defining it and
+    the names it reads, but for ``fallback``.  Schemas of one shape
+    share the code (a session builds its tables' schemas again on each
+    reopen).
+
+    The function reads a row in its usual form: every value with its
+    column's own tag, a CHAR as one ASCII byte, a BOOL as 0 or 1.  The
+    row length and each run of NOT NULL columns, up to and including a
+    TEXT's tag and length, are one ``struct`` unpack; the TEXT's bytes
+    are then one slice, and a nullable column reads its tag first.  Any
+    other tag or byte, a read past the row or bytes left over in it send
+    the row to ``fallback``, the column loop, which returns the row or
+    raises the ``WALError`` naming what is wrong.  So a row the function
+    returns is the one the loop returns, at the same offset.
+    """
+    namespace: Dict[str, Any] = {
+        "_ASCII": _ASCII, "_U32": _U32, "_INT": _INT, "_REAL": _REAL, "error": struct.error,
+    }
+    lines = ["at = offset"]
+    values = []
+    # the run of fixed-width fields not unpacked yet: the row length first
+    run_format, run_fields, run_checks = "<I", ["length"], []
+
+    def unpack_run() -> None:
+        nonlocal run_format, run_fields, run_checks
+        if run_fields:
+            name = f"_run{len(namespace)}"
+            namespace[name] = unpacker = struct.Struct(run_format)
+            lines.append(f"{', '.join(run_fields)}, = {name}.unpack_from(data, at)")
+            lines.append(f"at += {unpacker.size}")
+            if run_checks:
+                lines.append(f"if not ({' and '.join(run_checks)}):")
+                lines.append("    return fallback(data, offset)")
+        run_format, run_fields, run_checks = "<", [], []
+
+    for column, (tag, nullable) in enumerate(decoding):
+        value = f"v{column}"
+        values.append(value)
+        if not nullable:
+            run_format += "B" + _AFTER_TAG[tag]
+            run_checks.append(f"t{column} == {tag}")
+            if tag == _TAG_TEXT:
+                run_fields += [f"t{column}", f"n{column}"]
+                unpack_run()
+                lines.append(f"{value} = data[at : at + n{column}].decode('utf-8')")
+                lines.append(f"at += n{column}")
+                continue
+            run_fields += [f"t{column}", value]
+            if tag == _TAG_BOOL:
+                run_checks.append(f"{value} < 2")
+                values[-1] = f"{value} == 1"
+            elif tag == _TAG_CHAR:
+                run_checks.append(f"{value} < 0x80")
+                values[-1] = f"_ASCII[{value}]"
+            continue
+        unpack_run()
+        lines += ["tag = data[at]", "if tag == 0:", f"    {value} = None", "    at += 1"]
+        if tag == _TAG_TEXT:
+            lines += [
+                f"elif tag == {tag}:",
+                "    size, = _U32.unpack_from(data, at + 1)",
+                f"    {value} = data[at + 5 : at + 5 + size].decode('utf-8')",
+                "    at += 5 + size",
+            ]
+        elif tag == _TAG_INT or tag == _TAG_REAL:
+            unpacker = "_INT" if tag == _TAG_INT else "_REAL"
+            lines += [
+                f"elif tag == {tag}:",
+                f"    {value}, = {unpacker}.unpack_from(data, at + 1)",
+                "    at += 9",
+            ]
+        else:  # a BOOL or CHAR byte
+            if tag == _TAG_BOOL:
+                limit, convert = "2", "data[at + 1] == 1"
+            else:
+                limit, convert = "0x80", "_ASCII[data[at + 1]]"
+            lines += [
+                f"elif tag == {tag} and data[at + 1] < {limit}:",
+                f"    {value} = {convert}",
+                "    at += 2",
+            ]
+        lines += ["else:", "    return fallback(data, offset)"]
+    unpack_run()
+    lines += [
+        "if at == offset + 4 + length <= len(data):",
+        f"    return ({', '.join(values)},), at",
+    ]
+    source = "\n".join(
+        ["def decode(data, offset=0):", "    try:"]
+        + ["        " + line for line in lines]
+        + [
+            "    except (error, IndexError, UnicodeDecodeError):",
+            "        pass",
+            "    return fallback(data, offset)",
+        ]
+    )
+    return compile(source, "<row decoder>", "exec"), namespace

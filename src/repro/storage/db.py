@@ -388,17 +388,26 @@ class Database:
         exist yet; an existing table the catalog declares differently
         raises :class:`~repro.storage.errors.SchemaError`, again before
         anything is touched.  Tables created after the image must exist
-        before recovery (schema is not logged in frames).
+        before recovery (schema is not logged in frames): a frame naming
+        a table that neither the catalog declares nor anyone created
+        raises :class:`~repro.storage.errors.UnknownTableError` naming
+        it, in both modes, before anything is touched.
 
         Replay is bulk, not row-at-a-time: the scan decodes each row
-        with its table's codec, which checks it as ``normalize`` would,
-        and committed inserts — the image's rows first — are grouped
-        into per-table runs (``coalesce_replay``) that go to the table's
-        batch path with their encoded sizes, so no row is normalized or
-        sized again.  The heap is appended in one pass and secondary
-        indexes are bulk-built or merged once per run; the batch path
-        still rejects duplicate and NULL keys.  Deletes flush their
-        table's pending run first, preserving per-table order.
+        with its table's codec (a compiled fast path for rows in their
+        usual form), which checks it as ``normalize`` would, and
+        committed inserts — the image's rows first — are grouped into
+        per-table runs (``coalesce_replay``) that go to
+        ``Table._bulk_insert`` with their encoded sizes, so no row is
+        normalized or sized again.  Into the empty tables of a restart
+        every index is built whole by its ``bulk_build``; the batch
+        path still rejects duplicate keys.  Deletes flush their table's
+        pending run first, preserving per-table order.
+
+        The scan's end of the final segment, its last LSN and whether
+        its tail is torn go to the appender
+        (:meth:`~repro.storage.wal.WriteAheadLog.resume`), so the first
+        commit afterwards does not scan that segment again.
 
         Returns a :class:`~repro.storage.wal.RecoveryReport`.
         """
@@ -406,6 +415,7 @@ class Database:
             raise TransactionError("this database has no WAL to recover from")
         stats = ScanStats()
         frames = list(self._wal.scan(mode=mode, stats=stats))
+        self._wal.resume(stats)
         for schema in (stats.catalog or {}).values():
             if schema.name not in self.tables:
                 self.create_table(schema)

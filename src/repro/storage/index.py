@@ -72,12 +72,12 @@ class HashIndex:
     ) -> "HashIndex":
         """Build an index holding ``entries`` (``(key, rowid)`` pairs).
 
-        One pass over the entries — the hash shape has no sort to
-        amortize, so this exists for lifecycle symmetry with
-        :meth:`OrderedIndex.bulk_build`: every bulk code path (snapshot
-        restore, WAL replay, ``create_index`` backfill) constructs both
-        index kinds the same way.  Duplicate keys raise
-        :class:`~repro.storage.errors.DuplicateKeyError` when ``unique``.
+        One pass over the entries, with no per-entry method call: the
+        build ``Table._bulk_insert`` gives every index of an empty table
+        (WAL recovery, image loading, ``bulk_load``), and the
+        ``create_index`` backfill.  Duplicate keys raise
+        :class:`~repro.storage.errors.DuplicateKeyError` when ``unique``,
+        naming the first key that repeats an earlier one.
         """
         index = cls(name, unique=unique)
         buckets = index._buckets
@@ -229,7 +229,7 @@ class OrderedIndex:
     * **maintain** — :meth:`insert`/:meth:`delete` keep the structure
       consistent under churn;
     * **recover** — after a crash, indexes are *derived* state: they are
-      bulk-built from the replayed heap, never logged.
+      bulk-built from the replayed rows, never logged.
     """
 
     def __init__(self, name: str, unique: bool = False) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from heapq import merge
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -157,7 +158,7 @@ class _MaxStat:
     __slots__ = ("_counts", "_max", "_dirty")
 
     def __init__(self) -> None:
-        self._counts: Dict[Any, int] = {}
+        self._counts: Counter = Counter()
         self._max: Any = None
         self._dirty = False
 
@@ -167,6 +168,16 @@ class _MaxStat:
         self._counts[value] = self._counts.get(value, 0) + 1
         if not self._dirty and (self._max is None or value > self._max):
             self._max = value
+
+    def add_all(self, values: Iterable[Any]) -> None:
+        """:meth:`add` of each of ``values``, counted in one pass."""
+        batch = Counter(values)
+        batch.pop(None, None)
+        if batch:
+            self._counts.update(batch)
+            top = max(batch)
+            if not self._dirty and (self._max is None or top > self._max):
+                self._max = top
 
     def remove(self, value: Any) -> None:
         if value is None:
@@ -220,6 +231,10 @@ class Table:
         self._index_specs: Dict[str, IndexSpec] = {}
         #: index name -> the codec's key getter for its columns
         self._key_getters: Dict[str, Callable[[Row], Tuple[Any, ...]]] = {}
+        #: ordered indexes with a nullable key column, whose keys must be
+        #: checked for NULL: in any other, the codec's NOT NULL check on
+        #: every row already keeps NULL out
+        self._null_checked: Set[str] = set()
         self._max_stats: Dict[str, Tuple[int, _MaxStat]] = {}
         #: monotone mutation counter — cache key for planner statistics
         #: (histograms) that must notice updates-in-place, which leave
@@ -251,6 +266,8 @@ class Table:
             self.create_index(spec)
         #: name of the unique index enforcing the primary key (None: no key)
         self._pk_name: Optional[str] = None
+        #: whether a primary-key column is nullable, so a key may hold NULL
+        self._pk_nullable = False
         self._add_pk_index()
 
     # ------------------------------------------------------------------
@@ -286,6 +303,8 @@ class Table:
         self._indexes[spec.name] = index
         self._index_specs[spec.name] = spec
         self._key_getters[spec.name] = key_of
+        if spec.ordered and self._nullable(spec.columns):
+            self._null_checked.add(spec.name)
         # index DDL changes the statistics surface (ordered indexes feed
         # histogram sampling), so it must move the mutation counter or
         # cached histograms survive stale
@@ -297,6 +316,7 @@ class Table:
         key = self.schema.primary_key
         if not key:
             return
+        self._pk_nullable = self._nullable(key)
         for name, spec in self._index_specs.items():
             if spec.unique and spec.columns == key:
                 self._pk_name = name
@@ -304,9 +324,13 @@ class Table:
         self._pk_name = f"{self.schema.name}_pk_idx"
         self.create_index(IndexSpec(self._pk_name, key, unique=True))
 
+    def _nullable(self, columns: Sequence[str]) -> bool:
+        return any(self.schema.column(name).nullable for name in columns)
+
     def _reject_null_pk(self, rows: Iterable[Row]) -> None:
-        """Input validation: no primary-key component may be NULL."""
-        if self._pk_name is None:
+        """Input validation: no primary-key component may be NULL (no
+        check when every key column is NOT NULL: the codec checked that)."""
+        if not self._pk_nullable:
             return
         key_of = self._key_getters[self._pk_name]
         for row in rows:
@@ -494,12 +518,12 @@ class Table:
         included (against existing rows *and* within the batch) are detected
         before any structure is touched, so a failing batch leaves the
         table unchanged.  Index maintenance then takes the cheapest
-        lifecycle path per index — an empty index is bulk-built from the
-        sorted batch, a batch at least ``_MERGE_REBUILD_RATIO`` times an
-        ordered index's size is merged with its sorted entries into a
-        rebuilt index (both O(n log n) overall), and a smaller batch
-        falls back to incremental inserts (the measured crossover — see
-        the constant's note).
+        lifecycle path per index — every index of an empty table is
+        bulk-built from the batch, a batch at least
+        ``_MERGE_REBUILD_RATIO`` times an ordered index's size is merged
+        with its sorted entries into a rebuilt index (both O(n log n)
+        overall), and a smaller batch falls back to incremental inserts
+        (the measured crossover — see the constant's note).
         """
         normalized = list(map(self._codec.normalize, rows))
         return self._bulk_insert(normalized, sum(map(self._codec.size, normalized)))
@@ -507,18 +531,29 @@ class Table:
     def _bulk_insert(self, normalized: List[Row], size: int) -> List[int]:
         """:meth:`bulk_insert` of rows the codec already checked as
         ``normalize`` would (``RowCodec.decode``'s, in WAL recovery and
-        snapshot loading), whose encodings total ``size`` bytes."""
+        image loading), whose encodings total ``size`` bytes.
+
+        Into an *empty* table every index, hash indexes included, is
+        built by its own ``bulk_build`` in the validate phase: that build
+        is where a duplicate key raises, and the new indexes replace the
+        empty ones at apply time.  MAX statistics take the batch in one
+        call.  NULL checks run only where a key column is nullable: the
+        codec keeps NULL out of a NOT NULL column.
+        """
         if not normalized:
             return []
         first = self._next_rowid
-        rowids = list(range(first, first + len(normalized)))
+        rowids = range(first, first + len(normalized))
+        empty = not self._rows
 
         # -- validate ---------------------------------------------------
         self._reject_null_pk(normalized)
-        batch_entries: Dict[str, List[Tuple[Tuple[Any, ...], int]]] = {}
+        # index name -> the index built over the batch (empty table), or
+        # the batch's entries (populated table)
+        built: Dict[str, Any] = {}
         for name, index in self._indexes.items():
             keys = list(map(self._key_getters[name], normalized))
-            if self._index_specs[name].ordered:
+            if name in self._null_checked:
                 # same validate-then-apply hole as ``insert``: an ordered
                 # index rejecting a NULL key mid-apply (after the heap,
                 # earlier indexes, and stats were mutated) would strand
@@ -526,52 +561,63 @@ class Table:
                 for key in keys:
                     if None in key:
                         self._reject_unordered_key(name, key)
+            if empty:
+                try:
+                    built[name] = type(index).bulk_build(
+                        name, zip(keys, rowids), unique=index.unique
+                    )
+                except DuplicateKeyError:
+                    # name the first repeat in batch order, as below
+                    self._reject_duplicates(name, index, keys)
+                    raise
+                continue
             if index.unique and (
-                len(set(keys)) != len(keys)
-                or (self._rows and any(map(index.contains, keys)))
+                len(set(keys)) != len(keys) or any(map(index.contains, keys))
             ):
-                seen: Set[Tuple[Any, ...]] = set()
-                for key in keys:
-                    if key in seen or index.contains(key):
-                        raise DuplicateKeyError(
-                            f"duplicate key {key!r} in unique index {name!r}"
-                        )
-                    seen.add(key)
-            batch_entries[name] = list(zip(keys, rowids))
+                self._reject_duplicates(name, index, keys)
+            built[name] = list(zip(keys, rowids))
 
         # -- apply ------------------------------------------------------
         self._stats_seq += 1
         try:
             self._rows.update(zip(rowids, normalized))
             self._byte_size += size
-            for row in normalized:
-                self._stats_add(row)
+            self._version += len(normalized)
+            for position, stat in self._max_stats.values():
+                stat.add_all(map(itemgetter(position), normalized))
             self._next_rowid = rowids[-1] + 1
             self._max_seen_rowid = rowids[-1]  # fresh ids: dict stays ordered
-            for name, entries in batch_entries.items():
-                index = self._indexes[name]
-                spec = self._index_specs[name]
-                if isinstance(index, OrderedIndex):
-                    if len(index) == 0:
-                        self._indexes[name] = OrderedIndex.bulk_build(
-                            spec.name, entries, unique=spec.unique
-                        )
-                    elif len(entries) >= _MERGE_REBUILD_RATIO * len(index):
+            if empty:
+                self._indexes.update(built)
+            else:
+                for name, entries in built.items():
+                    index = self._indexes[name]
+                    if isinstance(index, OrderedIndex) and (
+                        len(entries) >= _MERGE_REBUILD_RATIO * len(index)
+                    ):
                         entries.sort()
                         merged = merge(index.items(), entries)
                         self._indexes[name] = OrderedIndex.bulk_build(
-                            spec.name, merged, unique=spec.unique, presorted=True
+                            name, merged, unique=index.unique, presorted=True
                         )
                     else:
+                        # hash buckets are O(1) per entry either way
                         for key, rowid in entries:
                             index.insert(key, rowid)
-                else:
-                    # hash buckets are O(1) per entry either way
-                    for key, rowid in entries:
-                        index.insert(key, rowid)
         finally:
             self._stats_seq += 1
-        return rowids
+        return list(rowids)
+
+    def _reject_duplicates(
+        self, name: str, index: Union[HashIndex, OrderedIndex], keys: List[Tuple[Any, ...]]
+    ) -> None:
+        """Raise ``DuplicateKeyError`` for the first of ``keys`` that is
+        already in ``index`` or repeats an earlier one."""
+        seen: Set[Tuple[Any, ...]] = set()
+        for key in keys:
+            if key in seen or index.contains(key):
+                raise DuplicateKeyError(f"duplicate key {key!r} in unique index {name!r}")
+            seen.add(key)
 
     def _unindex(self, rowid: int, row: Row, stop_at: Optional[str] = None) -> None:
         for name, index in self._indexes.items():
@@ -781,6 +827,7 @@ class Table:
         table._indexes.clear()
         table._index_specs.clear()
         table._key_getters.clear()
+        table._null_checked.clear()
         ordered = dict(sorted(rows.items()))
         table._rows = ordered
         if ordered:

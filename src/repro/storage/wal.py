@@ -60,7 +60,14 @@ the appender's tail check before the first frame write
 (:func:`_segment_tail`) and the standalone image loader
 (:func:`read_image`) all walk segments with :func:`_read_segment_header`
 and :func:`_scan_frames`, so they can never disagree about where the
-verifiable log ends.
+verifiable log ends.  A recovery that read the final segment through
+without corruption hands the appender what it found
+(:meth:`WriteAheadLog.resume`), and the tail check is not run again.
+
+A frame naming a table the scan has no schema for — one no image
+catalog declares and no one created — raises
+:class:`~repro.storage.errors.UnknownTableError` in both modes: its
+checksums verified, so it is a missing schema, not damage.
 
 Recovery scans in one of two modes:
 
@@ -107,7 +114,7 @@ from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tupl
 from zlib import crc32
 
 from ..common.faults import NO_FAULTS, durable_fsync, fsync_directory
-from .errors import SchemaError, StorageError, WALCorruptionError, WALError
+from .errors import SchemaError, StorageError, UnknownTableError, WALCorruptionError, WALError
 from .schema import Column, IndexSpec, TableSchema
 from .types import ColumnType
 
@@ -190,6 +197,12 @@ class ScanStats:
     #: the image's catalog when the scan started at an image (its frame,
     #: if it verified, is the first one scanned); None otherwise
     catalog: Optional[Dict[str, TableSchema]] = None
+    #: the LSN of the last frame verified, None before the first
+    last_lsn: Optional[int] = None
+    #: ``(path, size, end)`` of the final segment once the scan has read
+    #: it through without corruption: its size as read and where its
+    #: verifiable content ends (before a torn tail, if any)
+    tail: Optional[Tuple[str, int, int]] = None
 
 
 class WriteAheadLog:
@@ -230,6 +243,10 @@ class WriteAheadLog:
         self._staged: List[bytes] = []
         #: (kind, table) -> that op head's bytes
         self._op_heads: Dict[Tuple[int, str], bytes] = {}
+        #: the final segment's ``(path, size, end, last_lsn)`` as a
+        #: recovery scan found it, for the first frame write (see
+        #: :meth:`resume`)
+        self._resume_at: Optional[Tuple[str, int, int, int]] = None
 
     # ------------------------------------------------------------------
     # Segment bookkeeping
@@ -279,14 +296,36 @@ class WriteAheadLog:
         self._file = self._faults.wrap(handle, os.path.basename(segment))
         self._sealed_size = handle.tell()
 
+    def resume(self, stats: ScanStats) -> None:
+        """Take where the log ends from a finished recovery scan.
+
+        When ``stats`` read the final segment through without corruption
+        (clean, or torn at its tail), the first frame write starts from
+        its end, truncating a torn tail first, instead of scanning the
+        segment again — which, after a checkpoint, is the whole image.
+        It is used only while that segment still has the size the scan
+        read; after a corrupt scan the appender scans for itself and
+        refuses to append, as without it.
+        """
+        if self._file is None and stats.tail is not None and stats.corruption is None:
+            last_lsn = stats.last_lsn or 0
+            self._resume_at = (*stats.tail, last_lsn)
+            if self._next_lsn is None:
+                self._next_lsn = last_lsn + 1
+
     def _handle(self) -> BinaryIO:
         if self._file is None:
             segments = self.segment_paths()
             seq, lsn = 1, None
+            resume, self._resume_at = self._resume_at, None
             if segments:
                 last = segments[-1]
                 seq = _sequence(last)
-                end, lsn, state = _segment_tail(last, self._schemas)
+                if resume is not None and resume[:2] == (last, os.path.getsize(last)):
+                    _path, size, end, lsn = resume
+                    state = "torn" if end < size else "clean"
+                else:
+                    end, lsn, state = _segment_tail(last, self._schemas)
                 if state == "corrupt":
                     # Appending after a checksum-failed frame would
                     # bury possibly-committed bytes behind new ones;
@@ -409,6 +448,7 @@ class WriteAheadLog:
     def close(self) -> None:
         """Close the segment handle, first truncating away what a failed
         frame write left past the last sealed frame."""
+        self._resume_at = None
         if self._file is not None:
             if self._unsealed_tail:
                 self._file.truncate(self._sealed_size)
@@ -420,6 +460,7 @@ class WriteAheadLog:
         """Simulated crash: drop the staged operations and the handle.
         Sealed frames are on disk; nothing else of this log is."""
         self._staged = []
+        self._resume_at = None
         if self._file is not None:
             self._file.close()
             self._file = None
@@ -640,15 +681,17 @@ def _scan_segments(
         if catalog is not None:
             schemas = _with_catalog(schemas, catalog)
             stats.catalog = catalog
-        expected_lsn = base_lsn
-        for frame in _scan_frames(
+        yield from _scan_frames(
             segment, data, start, base_lsn, schemas, mode, stats, final, catalog is not None
-        ):
-            expected_lsn = frame.lsn + 1
-            yield frame
+        )
         if stats.corruption is not None:
             _quarantine_rest(stats, segments[position + 1 :])
             return
+        # LSNs run on across segments, so the last one verified (here or
+        # before) is this segment's base LSN minus one when it had none
+        expected_lsn = base_lsn if stats.last_lsn is None else stats.last_lsn + 1
+        if final:
+            stats.tail = (segment, len(data), len(data) - stats.torn_tail_bytes)
 
 
 def _segment_tail(
@@ -850,6 +893,7 @@ def _scan_frames(
             )
             return
         stats.records_scanned += 1
+        stats.last_lsn = lsn
         expected_lsn = lsn + 1
         yield WalFrame(lsn, txn_id, ops)
         offset = end
@@ -870,7 +914,13 @@ def _decode_ops(
         at += name_length
         decoder = decoders.get(name)
         if decoder is None:
-            raise WALError(f"WAL references unknown table {bytes(name)!r}")
+            # the frame's checksum verified, so this is no damage: the
+            # table's schema is missing
+            raise UnknownTableError(
+                f"the WAL references table {bytes(name).decode('utf-8', 'replace')!r}, "
+                f"which no image catalog declares and which was not created "
+                f"before recovery"
+            )
         if kind != KIND_INSERT and kind != KIND_DELETE:
             raise WALError(f"unknown op kind {kind}")
         row, after = decoder[1](data, at)

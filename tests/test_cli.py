@@ -172,6 +172,23 @@ class TestRecover:
         assert payload["report"]["mode"] == "strict"
         assert payload["tables"] == {"t": 5}
 
+    def test_recover_without_a_schema_names_the_table(self, tmp_path, capsys):
+        """A log that was never checkpointed holds no catalog, so the CLI
+        cannot know table t: a typed error naming it, not corruption."""
+        from repro.storage import Column, ColumnType, Database, TableSchema
+
+        wal_dir = str(tmp_path / "store")
+        db = Database("db", wal_dir=wal_dir)
+        db.create_table(TableSchema("t", [Column("id", ColumnType.INT)]))
+        db.insert("t", (1,))
+        db.crash()
+        code = main(["recover", "--wal-dir", wal_dir])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("recovery failed: UnknownTableError: ")
+        assert "table 't', which no image catalog declares" in err
+        assert "not created before recovery" in err
+
     def test_recover_corrupt_snapshot_fails_cleanly(self, tmp_path, capsys):
         image, wal_dir = self._make_crashed_db(tmp_path)
         with open(image, "r+b") as handle:

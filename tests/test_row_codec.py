@@ -10,6 +10,10 @@
 * Differential normalize: the compiled normalizer against the
   column-by-column ``coerce_value`` chain — same tuple, or the same
   exception type and message.
+* Differential decode: the compiled decoder against the column loop on
+  every cut and every single-byte change of a row's encoding — the same
+  row and offset, or a ``WALError`` with the same message — and it
+  reads the provenance rows a recovery replays without falling back.
 """
 
 import os
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.provenance import prov_schema
 from repro.storage.db import Database
 from repro.storage.errors import SchemaError, UnknownColumnError, WALError
 from repro.storage.schema import Column, TableSchema
@@ -364,6 +369,76 @@ class TestDecodeValidates:
         assert codec.normalize(decoded) is decoded
         assert codec.encode(decoded) == mutated[:end]
         assert codec.size(decoded) == end
+
+
+# ----------------------------------------------------------------------
+# Differential decode
+# ----------------------------------------------------------------------
+def _decode_outcome(decode, data, offset):
+    """What ``decode`` makes of ``data[offset:]``; floats by ``repr``, so
+    NaN payloads and -0.0 compare too."""
+    try:
+        row, end = decode(data, offset)
+    except WALError as exc:
+        return "raised", str(exc)
+    return "ok", [(type(value), repr(value)) for value in row], end
+
+
+#: bytes around the row: the compiled decoder must read none of them
+_BEFORE, _AFTER = b"\x03\x01\x00", b"\x00\x01\x05\x03\xff\xff\xff\xff"
+
+
+class TestDecodeDifferential:
+    """``decode`` takes a compiled path for rows in their usual form and
+    hands every other row to the column loop, ``_decode_columns``; both
+    must answer alike whatever the bytes."""
+
+    @settings(max_examples=200, **_PROFILE)
+    @given(stored_rows())
+    def test_compiled_decoder_matches_the_column_loop(self, case):
+        schema, stored = case
+        codec = schema.codec
+        encoded = codec.encode(stored)
+        before = codec.fallbacks
+        assert codec.decode(encoded) == (stored, len(encoded))
+        # only a non-ASCII CHAR, written as text, leaves the compiled path
+        irregular = any(
+            column.type is ColumnType.CHAR and value is not None and not value.isascii()
+            for column, value in zip(schema.columns, stored)
+        )
+        assert codec.fallbacks - before == int(irregular)
+        variants = [encoded[:cut] for cut in range(len(encoded))]
+        for position in range(len(encoded)):
+            for byte in {*_BYTES, *(encoded[position] ^ (1 << bit) for bit in range(8))}:
+                changed = bytearray(encoded)
+                changed[position] = byte
+                variants.append(bytes(changed))
+        for variant in variants:
+            for data, offset in ((variant, 0), (_BEFORE + variant + _AFTER, len(_BEFORE))):
+                assert _decode_outcome(codec.decode, data, offset) == _decode_outcome(
+                    codec._decode_columns, data, offset
+                ), (schema, stored, data.hex(), offset)
+
+    def test_recovered_prov_rows_take_the_compiled_path(self, tmp_path):
+        """Recovery decodes every provenance row — the image's and the
+        frames' after it — without one fallback to the column loop."""
+        db = Database("p", wal_dir=str(tmp_path))
+        db.create_table(prov_schema())
+        rows = [
+            (tid, "ICDX"[tid % 4], f"T/c{tid}/naïve ☃" if tid % 5 == 0 else f"T/c{tid}",
+             None if tid % 3 else f"S/p{tid}")
+            for tid in range(60)
+        ]
+        db.insert_many("prov", rows[:40])
+        db.checkpoint()
+        for row in rows[40:]:
+            db.insert("prov", row)
+        db.crash()
+        fresh = Database("p", wal_dir=str(tmp_path))
+        fresh.recover()  # the image's catalog creates the table
+        prov = fresh.table("prov")
+        assert sorted(row for _rowid, row in prov.scan()) == sorted(rows)
+        assert prov.schema.codec.fallbacks == 0
 
 
 # ----------------------------------------------------------------------

@@ -456,6 +456,132 @@ class TestBulkInsert:
         assert table.max_value("tid") == 9
 
 
+def oracle_schema(nullable_ordered_key):
+    """Every index kind over NOT NULL and nullable key columns: a unique
+    ordered index first, a non-unique hash index, a non-unique ordered
+    index over ``(a, b)`` (nullable or not), a unique hash index, then
+    the primary key's."""
+    return TableSchema(
+        "o",
+        [
+            Column("k", ColumnType.INT, nullable=False),
+            Column("a", ColumnType.TEXT, nullable=nullable_ordered_key),
+            Column("b", ColumnType.INT, nullable=nullable_ordered_key),
+            Column("c", ColumnType.TEXT, nullable=False),
+            Column("d", ColumnType.REAL),
+        ],
+        primary_key=("k",),
+        indexes=(
+            IndexSpec("o_c", ("c",), unique=True, ordered=True),
+            IndexSpec("o_d", ("d",)),
+            IndexSpec("o_ab", ("a", "b"), ordered=True),
+            IndexSpec("o_bk", ("b", "k"), unique=True),
+        ),
+    )
+
+
+@st.composite
+def oracle_batches(draw):
+    nullable = draw(st.booleans())
+    maybe = (lambda values: st.none() | values) if nullable else (lambda values: values)
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 12),
+                maybe(st.sampled_from(["x", "y", "é"])),
+                maybe(st.integers(-2, 2)),
+                st.sampled_from(["p", "q", "r", "s", "t", "u", "v", "w"]),
+                st.none() | st.floats(-3, 3),
+            ),
+            max_size=8,
+        )
+    )
+    return oracle_schema(nullable), rows
+
+
+def index_entries(table):
+    """Every index's entries: a hash index's buckets with their row ids
+    in order, an ordered index's ``(key, rowid)`` pairs in order."""
+    return {
+        name: list(index.items())
+        if isinstance(index, OrderedIndex)
+        else [(key, list(bucket)) for key, bucket in index._buckets.items()]
+        for name, index in table._indexes.items()
+    }
+
+
+def expected_batch_error(table, rows):
+    """The error a batch into ``table`` raises, as the validate phase
+    defines it: a NULL primary-key component, then index by index in
+    the table's order, a NULL in an ordered key, then a key repeated
+    in a unique index — each the first in batch order."""
+    if any(table.schema.key_of(row)[0] is None for row in rows):
+        return ConstraintError, None
+    for name, index in table._indexes.items():
+        keys = [table._key_getters[name](row) for row in rows]
+        if isinstance(index, OrderedIndex) and any(None in key for key in keys):
+            return ConstraintError, None
+        if index.unique:
+            seen = set()
+            for key in keys:
+                if key in seen:
+                    return DuplicateKeyError, f"duplicate key {key!r} in unique index {name!r}"
+                seen.add(key)
+    return None, None
+
+
+class TestEmptyTableBulkPath:
+    """``_bulk_insert`` into an empty table builds each index whole with
+    its ``bulk_build``; the result must be the table row-at-a-time
+    inserts build, and a failing batch must leave the table empty."""
+
+    @settings(max_examples=300, **_PROFILE)
+    @given(oracle_batches())
+    def test_bulk_build_equals_row_at_a_time_inserts(self, case):
+        schema, raw = case
+        rows = [schema.codec.normalize(row) for row in raw]
+        bulk = Table(schema)
+        bulk.track_max("k")
+        bulk.track_max("d")
+        error, message = expected_batch_error(bulk, rows)
+        if error is not None:
+            with pytest.raises(error) as raised:
+                bulk._bulk_insert(rows, sum(map(schema.codec.size, rows)))
+            if message is not None:
+                assert str(raised.value) == message
+            assert bulk.row_count == 0 and bulk.byte_size == 0
+            assert all(entries == [] for entries in index_entries(bulk).values())
+            assert bulk.max_value("k") is None and bulk.max_value("d") is None
+            return
+        oracle = Table(schema)
+        oracle.track_max("k")
+        oracle.track_max("d")
+        rowids = [oracle.insert(row) for row in rows]
+        assert bulk._bulk_insert(rows, sum(map(schema.codec.size, rows))) == rowids
+        assert list(bulk.scan()) == list(oracle.scan())
+        assert index_entries(bulk) == index_entries(oracle)
+        for column in ("k", "d"):
+            assert bulk.max_value(column) == oracle.max_value(column)
+            assert bulk._max_stats[column][1]._counts == oracle._max_stats[column][1]._counts
+        assert bulk.byte_size == oracle.byte_size
+
+    def test_in_batch_duplicate_names_the_first_repeat(self):
+        table = Table(oracle_schema(False))
+        rows = [(1, "x", 0, "q", None), (2, "x", 0, "p", None), (3, "x", 0, "q", None),
+                (4, "x", 0, "p", None)]
+        # the first repeat in batch order is "q", though the ordered
+        # index's sorted build meets "p" first
+        with pytest.raises(DuplicateKeyError, match=r"key \('q',\) in unique index 'o_c'"):
+            table.bulk_insert(rows)
+        assert table.row_count == 0 and index_entries(table)["o_c"] == []
+
+    def test_null_in_a_nullable_ordered_key_is_rejected(self):
+        table = Table(oracle_schema(True))
+        with pytest.raises(ConstraintError, match="ordered index 'o_ab'"):
+            table.bulk_insert([(1, "x", 0, "p", None), (2, None, 1, "q", None)])
+        assert table.row_count == 0 and index_entries(table)["o_ab"] == []
+
+
 class TestUpdateRow:
     """Regression: a failing update must never destroy the old row.
 

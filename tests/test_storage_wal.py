@@ -19,6 +19,7 @@ from repro.storage import (
     TableSchema,
     TransactionError,
 )
+from repro.storage.errors import UnknownTableError, WALCorruptionError
 from repro.storage.expr import Cmp, Col, Const
 from repro.storage.query import QueryEngine
 from repro.storage.wal import (
@@ -488,6 +489,120 @@ class TestLiveReadThenAppend:
             (1, "I", "T/a", None),
             (2, "I", "T/b", None),
         ]
+
+
+def _count_decodes(monkeypatch, codec):
+    """Count the rows ``codec`` decodes from now on."""
+    calls = []
+    decode = codec.decode
+
+    def counting(data, offset=0):
+        calls.append(offset)
+        return decode(data, offset)
+
+    monkeypatch.setattr(codec, "decode", counting)
+    return calls
+
+
+class TestAppendAfterRecovery:
+    """Recovery hands the appender where the final segment's verifiable
+    content ends, so the first commit after a restart does not scan it
+    again; a torn tail is still cut off before the next frame and a
+    corrupt segment still refused."""
+
+    def _crashed(self, tmp_path, image=True):
+        db = Database("w", wal_dir=str(tmp_path))
+        db.create_table(schema())
+        db.insert_many("prov", [(tid, "I", f"T/c{tid}", None) for tid in range(50)])
+        if image:
+            db.checkpoint()  # the final segment is now the image
+        db.insert("prov", (50, "C", "T/c50", "S/a"))
+        db.crash()
+        return db
+
+    def _rows(self, tmp_path):
+        fresh = Database("w", wal_dir=str(tmp_path))
+        fresh.create_table(schema())
+        report = fresh.recover()
+        return report, sorted(row for _rowid, row in fresh.table("prov").scan())
+
+    @pytest.mark.parametrize("image", [True, False])
+    def test_first_commit_after_recovery_decodes_no_row(self, tmp_path, monkeypatch, image):
+        self._crashed(tmp_path, image)
+        fresh = Database("w", wal_dir=str(tmp_path))
+        if not image:
+            fresh.create_table(schema())
+        fresh.recover()
+        decoded = _count_decodes(monkeypatch, fresh.table("prov").schema.codec)
+        fresh.insert("prov", (51, "I", "T/c51", None))
+        assert decoded == []
+        assert fresh._wal.last_lsn() == (4 if image else 3)
+        fresh.crash()
+        report, rows = self._rows(tmp_path)
+        assert report.txns_dropped == 0 and report.corruption is None
+        assert len(rows) == 52 and rows[-1] == (51, "I", "T/c51", None)
+
+    def test_torn_tail_is_truncated_before_the_next_frame(self, tmp_path):
+        self._crashed(tmp_path)
+        [segment] = Database("w", wal_dir=str(tmp_path))._wal.segment_paths()
+        with open(segment, "ab") as handle:
+            handle.write(b"\x40\x00\x00\x00partial")  # a torn frame
+        fresh = Database("w", wal_dir=str(tmp_path))
+        assert fresh.recover().torn_tail_bytes == 11
+        fresh.insert("prov", (51, "I", "T/c51", None))
+        fresh.crash()
+        report, rows = self._rows(tmp_path)
+        assert report.torn_tail_bytes == 0 and report.corruption is None
+        assert len(rows) == 52
+
+    def test_corrupt_segment_is_still_refused(self, tmp_path):
+        self._crashed(tmp_path, image=False)
+        [segment] = Database("w", wal_dir=str(tmp_path))._wal.segment_paths()
+        size = os.path.getsize(segment)
+        with open(segment, "r+b") as handle:
+            handle.seek(size - 3)  # inside the last frame's ops
+            byte = handle.read(1)
+            handle.seek(size - 3)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        fresh = Database("w", wal_dir=str(tmp_path))
+        fresh.create_table(schema())
+        assert fresh.recover(mode="tolerant").corruption is not None
+        with pytest.raises(WALCorruptionError, match="cannot append to a corrupt"):
+            fresh.insert("prov", (51, "I", "T/c51", None))
+
+    def test_a_segment_changed_since_recovery_is_scanned_again(self, tmp_path):
+        self._crashed(tmp_path)
+        fresh = Database("w", wal_dir=str(tmp_path))
+        fresh.recover()
+        [segment] = fresh._wal.segment_paths()
+        with open(segment, "ab") as handle:
+            handle.write(b"\x40\x00\x00\x00partial")
+        fresh.insert("prov", (51, "I", "T/c51", None))
+        fresh.crash()
+        report, rows = self._rows(tmp_path)
+        assert report.torn_tail_bytes == 0 and len(rows) == 52
+
+
+class TestUnknownTable:
+    """A frame naming a table that no image catalog declares and that
+    was not created before recovery is a missing schema, not damage:
+    both modes raise the typed error before any table is touched."""
+
+    @pytest.mark.parametrize("mode", ["strict", "tolerant"])
+    def test_recovery_names_the_table_and_touches_nothing(self, tmp_path, mode):
+        other = TableSchema("other", [Column("n", ColumnType.INT)])
+        db = Database("w", wal_dir=str(tmp_path))
+        db.create_table(other)
+        db.create_table(schema())
+        db.insert("other", (1,))
+        db.insert("prov", (1, "I", "T/a", None))
+        db.crash()
+        fresh = Database("w", wal_dir=str(tmp_path))
+        fresh.create_table(other)
+        with pytest.raises(UnknownTableError, match="'prov', which no image catalog declares"):
+            fresh.recover(mode=mode)
+        assert fresh.table("other").row_count == 0
+        assert set(fresh.tables) == {"other"}
 
 
 class TestCrashDuringConcurrency:
