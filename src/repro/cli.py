@@ -225,7 +225,10 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
     try:
         db = Database(args.name, wal_dir=args.wal_dir)
-        report = db.recover(mode=args.mode)
+        try:
+            report = db.recover(mode=args.mode)
+        finally:
+            db.close()
     except (StorageError, OSError) as exc:
         print(f"recovery failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

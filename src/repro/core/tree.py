@@ -14,7 +14,7 @@ This module implements:
   ``t[p := t']`` (replace subtree), with the same failure conditions the
   paper specifies;
 * structural helpers used throughout the system: path resolution, node
-  enumeration, structural equality, deep copy, size accounting.
+  enumeration, structural equality, deep copy, node counts.
 
 Mutating operations are confined to explicit methods; querying never
 mutates.  Copies are deep, so a pasted subtree never aliases its source.
@@ -26,7 +26,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 from .paths import Label, Path, PathError
 
-__all__ = ["Tree", "TreeError", "Value", "value_size"]
+__all__ = ["Tree", "TreeError", "Value"]
 
 Value = Union[str, int, float, bool, None]
 
@@ -265,15 +265,3 @@ class Tree:
                     lines.append(rendered)
         return "\n".join(lines)
 
-
-def value_size(value: Value) -> int:
-    """Approximate storage footprint of a leaf value, in bytes."""
-    if value is None:
-        return 0
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
-        return 8
-    return len(value.encode("utf-8"))

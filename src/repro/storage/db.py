@@ -348,6 +348,14 @@ class Database:
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Close the WAL's append handle, first truncating what a failed
+        frame write left past the last sealed frame
+        (:meth:`~repro.storage.wal.WriteAheadLog.close`).  The tables
+        stay in memory, and a later commit reopens the log."""
+        if self._wal is not None:
+            self._wal.close()
+
     def crash(self) -> None:
         """Simulate a crash: drop all in-memory state, keep the WAL file."""
         if self._wal is not None:

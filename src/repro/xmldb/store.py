@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..core.paths import Path
-from ..core.tree import Tree, Value, value_size
+from ..core.tree import Tree, Value
 from ..storage.index import OrderedIndex
 from .xpath import base_label
 
@@ -84,8 +84,21 @@ class _Node:
         self.level = level
 
     def record_bytes(self) -> int:
-        # id (8) + parent (8) + label length header (2) + label + value
-        return 18 + len(self.label.encode("utf-8")) + value_size(self.value)
+        """This node's on-disk record size (see :func:`_record_bytes`)."""
+        return _record_bytes(self.label, self.value)
+
+
+def _record_bytes(label: str, value: Value) -> int:
+    """The byte formula of one node record: id (8) + parent (8) + label
+    length header (2) + label + value.  Text is sized as its UTF-8
+    length, read as ``len`` when it is ASCII (one byte per character)
+    instead of encoding it; a bool takes 1 byte, an int or float 8."""
+    size = 18 + (len(label) if label.isascii() else len(label.encode("utf-8")))
+    if value is None:
+        return size
+    if isinstance(value, str):
+        return size + (len(value) if value.isascii() else len(value.encode("utf-8")))
+    return size + (1 if isinstance(value, bool) else 8)
 
 
 class _Encoding(NamedTuple):
@@ -409,7 +422,7 @@ class XMLDatabase:
         if existing is not None:
             overwritten = self._export(existing)
             self._free_subtree(self._nodes[existing])
-        self._import(parent, path.last, subtree)
+        self._import(parent, [(path.last, subtree)])
         return overwritten
 
     def _attach(self, parent: _Node, label: str, value: Value) -> _Node:
@@ -431,25 +444,55 @@ class XMLDatabase:
             del self._nodes[dead.node_id]
         self._encoded = None
 
-    def _import(self, parent: _Node, label: str, subtree: Tree) -> None:
-        """Graft a value tree, allocating node ids in document order."""
-        stack: List[Tuple[_Node, str, Tree]] = [(parent, label, subtree)]
+    def _import(self, parent: _Node, grafts: List[Tuple[str, Tree]]) -> None:
+        """Graft value trees under ``parent``, one per ``(label, tree)``
+        pair (in sorted label order), in one document-order pass.
+
+        Each node gets the next id in document order, is linked into its
+        parent's child map and has its record bytes counted as it is
+        created.  The stack holds one iterator over the sorted children
+        of each open interior node; a leaf is never pushed.  The id
+        counter, the byte total and the stale encoding are written once,
+        after the pass."""
+        nodes = self._nodes
+        next_id = self._next_id
+        size = 0
+        stack: List[Tuple[_Node, Iterator[Tuple[str, Tree]]]] = [(parent, iter(grafts))]
         while stack:
-            under, name, tree = stack.pop()
-            node = self._attach(under, name, tree.value)
-            stack.extend(
-                (node, child, tree.children[child])
-                for child in sorted(tree.children, reverse=True)
-            )
+            under, pending = stack[-1]
+            under_id = under.node_id
+            level = under.level + 1
+            siblings = under.children
+            for name, tree in pending:
+                value = tree.value
+                node = _Node(next_id, under_id, name, value, level)
+                nodes[next_id] = node
+                siblings[name] = next_id
+                next_id += 1
+                size += _record_bytes(name, value)
+                children = tree.children
+                if children:
+                    # descend: the rest of ``pending`` resumes after this subtree
+                    stack.append((node, iter(sorted(children.items()))))
+                    break
+            else:
+                stack.pop()
+        self._next_id = next_id
+        self._byte_size += size
+        self._encoded = None
 
     # ------------------------------------------------------------------
     def load_tree(self, tree: Tree) -> None:
-        """Bulk-load a value tree under the root (initial population)."""
+        """Bulk-load a value tree under the root (initial population):
+        every child of ``tree``'s root is checked against the store's
+        root first, so a clash loads nothing, then all of them are
+        grafted in one pass (:meth:`_import`)."""
         root = self._nodes[self.ROOT_ID]
-        for label in sorted(tree.children):
+        grafts = sorted(tree.children.items())
+        for label, _subtree in grafts:
             if label in root.children:
                 raise XMLDBError(f"{self.name}: root already has child {label!r}")
-            self._import(root, label, tree.children[label])
+        self._import(root, grafts)
 
     # ------------------------------------------------------------------
     # Invariant checking (tests / debugging)

@@ -5,8 +5,10 @@ committed *state*, but contains no copy/paste sources — the information
 provenance records carry is simply not in the log.
 """
 
+import gc
 import os
 import struct
+import warnings
 
 import pytest
 
@@ -154,6 +156,7 @@ class TestWAL:
         log.flush(2)
         [frame] = log.scan()
         assert [op[2] for op in frame.ops] == [(2, "I", "T/b", None)]
+        log.close()
 
     def test_crash_leaves_the_segment_as_of_the_last_commit(self, tmp_path):
         """A crash with staged rows writes none of them: the segment
@@ -256,6 +259,39 @@ class TestCrashRecovery:
             (KIND_INSERT, "prov")
         ]
         assert not hasattr(frame, "copy_source")
+        db.close()
+
+    def test_closed_database_leaks_no_handle_and_reopens(self, tmp_path):
+        """``close()`` releases the WAL's append handle: dropping a
+        committed-then-closed database raises no ``ResourceWarning``
+        (dropping an unclosed one does), and it reopens with every row."""
+        rows = [(tid, "I", f"T/{tid}", None) for tid in range(1, 6)]
+
+        def commit_rows(name, close):
+            db = Database(name, wal_dir=str(tmp_path))
+            db.create_table(schema())
+            db.begin()
+            for row in rows:
+                db.insert("prov", row)
+            db.commit()
+            if close:
+                db.close()
+
+        def resource_warnings(name, close):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                commit_rows(name, close)
+                gc.collect()
+            return [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+        assert resource_warnings("leaky", close=False)
+        assert resource_warnings("t", close=True) == []
+        reopened = Database("t", wal_dir=str(tmp_path))
+        reopened.create_table(schema())
+        report = reopened.recover()
+        assert (report.txns_replayed, report.txns_dropped) == (1, 0)
+        assert sorted(row for _rid, row in reopened.table("prov").scan()) == rows
+        reopened.close()
 
 
 class TestCoalescedReplay:
@@ -718,3 +754,4 @@ class TestCrashDuringConcurrency:
         retry.insert("prov", (9, "I", "T/z", None))
         retry.commit()
         assert db.table("prov").lookup_pk((9, "T/z")) is not None
+        db.close()

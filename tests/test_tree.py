@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from repro.core.paths import Path
-from repro.core.tree import Tree, TreeError, value_size
+from repro.core.tree import Tree, TreeError
 
 from .strategies import small_trees
 
@@ -125,12 +125,3 @@ class TestCopyEquality:
     def test_node_count_matches_enumeration(self, t):
         assert t.node_count() == sum(1 for _ in t.nodes())
 
-
-class TestValueSize:
-    def test_sizes(self):
-        assert value_size(None) == 0
-        assert value_size(True) == 1
-        assert value_size(7) == 8
-        assert value_size(1.5) == 8
-        assert value_size("abc") == 3
-        assert value_size("é") == 2  # utf-8 bytes

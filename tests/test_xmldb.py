@@ -1,7 +1,11 @@
 """Tests for the XML node store, keyed views, XPath subset, serialization."""
 
+import os
+from typing import List, Tuple
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.paths import Path
 from repro.core.tree import Tree
@@ -78,6 +82,20 @@ class TestNodeStore:
         with pytest.raises(XMLDBError):
             db.paste_node("zzz/b", Tree.leaf(1))  # parent missing
 
+    def test_record_bytes_sizes(self):
+        """A record is 18 bytes of header plus its label and value: text
+        as UTF-8 bytes, a bool 1 byte, an int or float 8."""
+        db = XMLDatabase()
+        base = db.byte_size
+        sizes = {}
+        for label, value in [("n", None), ("b", True), ("i", 7), ("f", 1.5),
+                             ("s", "abc"), ("u", "é"), ("é", None)]:
+            before = db.byte_size
+            db.add_node("", label, value)
+            sizes[label] = db.byte_size - before
+        assert base == 18
+        assert sizes == {"n": 19, "b": 20, "i": 27, "f": 27, "s": 22, "u": 21, "é": 20}
+
     def test_byte_accounting(self):
         db = XMLDatabase()
         base = db.byte_size
@@ -94,6 +112,218 @@ class TestNodeStore:
         db = XMLDatabase()
         db.load_tree(tree)
         assert db.subtree(Path()) == tree
+
+
+# ----------------------------------------------------------------------
+# The graft differential: ``load_tree`` and ``paste_node`` graft a value
+# tree in one pass; building the same tree node by node through
+# ``add_node`` is the oracle.  ``REPRO_HYPOTHESIS_PROFILE=ci``
+# derandomizes it with a fixed example budget.
+# ----------------------------------------------------------------------
+
+_PROFILES = {
+    "default": {"max_examples": 100, "deadline": None},
+    "ci": {"max_examples": 200, "deadline": None, "derandomize": True},
+}
+_PROFILE = _PROFILES.get(
+    os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"), _PROFILES["default"]
+)
+
+#: ASCII and non-ASCII labels, so the byte formula's fast path and its
+#: UTF-8 fallback both run
+_GRAFT_LABELS = st.sampled_from(["a", "b", "c", "a{1}", "é", "名前", "x\u00ffy"])
+_GRAFT_VALUES = st.one_of(
+    st.none(),  # an empty subtree
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.text(max_size=6),
+    st.text(alphabet="é名😀ab", max_size=4),
+)
+
+
+def _tree_of(children: dict) -> Tree:
+    tree = Tree()
+    tree.children.update(children)
+    return tree
+
+
+def _chain(depth: int, leaf: Tree) -> Tree:
+    """``depth`` nested single-child interior nodes above ``leaf``."""
+    labels = ["a", "é", "名前"]
+    for index in range(depth):
+        leaf = _tree_of({labels[index % len(labels)]: leaf})
+    return leaf
+
+
+def graft_trees() -> st.SearchStrategy[Tree]:
+    """Random value trees (int/float/bool/text leaves, empty subtrees)
+    and deep single-child chains, always with an interior root."""
+    bushy = st.recursive(
+        _GRAFT_VALUES.map(Tree),
+        lambda children: st.dictionaries(_GRAFT_LABELS, children, max_size=4).map(_tree_of),
+        max_leaves=30,
+    )
+    chain = st.builds(_chain, st.integers(1, 300), _GRAFT_VALUES.map(Tree))
+    return st.dictionaries(_GRAFT_LABELS, st.one_of(bushy, chain), max_size=4).map(_tree_of)
+
+
+def _build_by_add_node(db: XMLDatabase, path: Path, label: str, tree: Tree) -> None:
+    """The oracle: add ``tree`` at ``path/label`` one ``add_node`` at a
+    time, in document order."""
+    stack: List[Tuple[Path, str, Tree]] = [(path, label, tree)]
+    while stack:
+        under, name, node = stack.pop()
+        db.add_node(under, name, node.value)
+        here = under.child(name)
+        stack.extend(
+            (here, child, node.children[child])
+            for child in sorted(node.children, reverse=True)
+        )
+
+
+def _oracle_store(tree: Tree) -> XMLDatabase:
+    db = XMLDatabase()
+    for label in sorted(tree.children):
+        _build_by_add_node(db, Path(), label, tree.children[label])
+    return db
+
+
+def _nodes_in_document_order(db: XMLDatabase) -> list:
+    """Every node reachable from the root, in document order: id,
+    parent, label, level, children map and the value with its type (so a
+    bool never passes for an int)."""
+    out = []
+    stack = [XMLDatabase.ROOT_ID]
+    while stack:
+        nid = stack.pop()
+        children = db.children_of(nid)
+        value = db.value_of(nid)
+        out.append(
+            (nid, db.parent_id(nid), db.label_of(nid), db.level_of(nid), children,
+             type(value), value)
+        )
+        stack.extend(children[label] for label in sorted(children, reverse=True))
+    assert len(out) == db.node_count()
+    return out
+
+
+def _encoded_size(value) -> int:
+    """The byte-size oracle: text encoded to UTF-8, never the ASCII
+    fast path."""
+    if value is None:
+        return 0
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    return len(value.encode("utf-8"))
+
+
+def _assert_same_store(grafted: XMLDatabase, oracle: XMLDatabase) -> None:
+    assert _nodes_in_document_order(grafted) == _nodes_in_document_order(oracle)
+    # the byte total is the sum of every record recomputed from scratch,
+    # each sized by encoding its text (no ASCII fast path)
+    records = list(grafted._nodes.values())
+    assert grafted.byte_size == sum(node.record_bytes() for node in records)
+    for node in records:
+        assert node.record_bytes() == 18 + _encoded_size(node.label) + _encoded_size(node.value)
+    assert grafted.byte_size == oracle.byte_size
+    grafted.check_encoding()
+    # the id counter moved on exactly as far as node-by-node building did
+    assert grafted.add_node("", "next") == oracle.add_node("", "next")
+
+
+def _paste_targets(tree: Tree) -> Tuple[List[Path], List[Path]]:
+    """(interior node paths, non-root node paths) of ``tree``."""
+    interior, existing = [], []
+    for path, node in tree.nodes():
+        if not path.is_root:
+            existing.append(path)
+        if not node.is_leaf_value:
+            interior.append(path)
+    return interior, existing
+
+
+class TestGraftDifferential:
+    @settings(**_PROFILE)
+    @given(graft_trees())
+    def test_load_tree_matches_add_node(self, tree):
+        grafted = XMLDatabase()
+        grafted.load_tree(tree)
+        oracle = _oracle_store(tree)
+        assert grafted.subtree(Path()) == tree
+        _assert_same_store(grafted, oracle)
+
+    @settings(**_PROFILE)
+    @given(graft_trees(), graft_trees(), st.data())
+    def test_paste_fresh_matches_add_node(self, base, pasted, data):
+        interior, _existing = _paste_targets(base)
+        parent = data.draw(st.sampled_from(interior))
+        path = parent.child("fresh-ü")
+        grafted = XMLDatabase()
+        grafted.load_tree(base)
+        oracle = _oracle_store(base)
+        assert grafted.paste_node(path, pasted) is None
+        _build_by_add_node(oracle, parent, path.last, pasted)
+        assert grafted.subtree(path) == pasted
+        _assert_same_store(grafted, oracle)
+
+    @settings(**_PROFILE)
+    @given(graft_trees(), graft_trees(), st.data())
+    def test_paste_over_existing_matches_add_node(self, base, pasted, data):
+        _interior, existing = _paste_targets(base)
+        if not existing:
+            return
+        path = data.draw(st.sampled_from(existing))
+        grafted = XMLDatabase()
+        grafted.load_tree(base)
+        oracle = _oracle_store(base)
+        overwritten = grafted.paste_node(path, pasted)
+        assert overwritten == base.resolve(path)
+        assert oracle.delete_node(path) == overwritten
+        _build_by_add_node(oracle, path.parent, path.last, pasted)
+        assert grafted.subtree(path) == pasted
+        _assert_same_store(grafted, oracle)
+
+
+class TestGraftIndependence:
+    def test_two_stores_share_no_node(self):
+        tree = Tree.from_dict({"a": {"x": 1, "y": "é"}, "b": {"c": {"d": 2.5}}, "e": {}})
+        before = tree.deep_copy()
+        first, second = XMLDatabase(), XMLDatabase()
+        first.load_tree(tree)
+        second.load_tree(tree)
+        first_nodes = list(first._nodes.values())
+        second_nodes = list(second._nodes.values())
+        assert {id(node) for node in first_nodes}.isdisjoint(id(node) for node in second_nodes)
+        assert {id(node.children) for node in first_nodes}.isdisjoint(
+            id(node.children) for node in second_nodes
+        )
+        untouched = _nodes_in_document_order(second)
+        first.delete_node("a/x")
+        first.paste_node("b/c", Tree.from_dict({"z": True}))
+        first.add_node("e", "f", "new")
+        assert _nodes_in_document_order(second) == untouched
+        assert second.subtree(Path()) == before
+        assert tree == before
+
+    def test_pasted_tree_is_not_aliased(self):
+        pasted = Tree.from_dict({"x": {"y": 1}})
+        db = XMLDatabase()
+        db.load_tree(Tree.from_dict({"a": {}}))
+        db.paste_node("a/p", pasted)
+        pasted.children["x"].add_child("z", Tree.leaf(2))
+        assert db.subtree("a/p").to_dict() == {"x": {"y": 1}}
+
+    def test_load_tree_clash_loads_nothing(self):
+        db = XMLDatabase()
+        db.load_tree(Tree.from_dict({"b": 1}))
+        size, count = db.byte_size, db.node_count()
+        with pytest.raises(XMLDBError):
+            db.load_tree(Tree.from_dict({"a": 1, "b": 2}))
+        assert (db.byte_size, db.node_count()) == (size, count)
+        assert not db.contains("a")
 
 
 class TestKeyedViews:
